@@ -19,12 +19,12 @@
 //! Two estimators are provided:
 //!
 //! * [`OptHash`] — the static scheme of Sections 3–5.2: only elements seen in
-//!    the prefix are tracked exactly; unseen elements are estimated from the
-//!    bucket the classifier routes them to.
+//!   the prefix are tracked exactly; unseen elements are estimated from the
+//!   bucket the classifier routes them to.
 //! * [`AdaptiveOptHash`] — the adaptive counting extension of Section 5.3: a
-//!    Bloom filter tracks which elements have been seen so the per-bucket
-//!    element counts (and therefore the averages) follow the stream beyond
-//!    the prefix.
+//!   Bloom filter tracks which elements have been seen so the per-bucket
+//!   element counts (and therefore the averages) follow the stream beyond
+//!   the prefix.
 //!
 //! ## Quick start
 //!

@@ -308,7 +308,7 @@ mod tests {
     fn small_groups_receive_more_arrivals_per_element() {
         let data = GroupDataset::generate(GroupConfig::with_groups(6));
         let stream = data.generate_stream(60_000, 7);
-        let mut per_group = vec![0usize; 6];
+        let mut per_group = [0usize; 6];
         for arrival in stream.iter() {
             per_group[data.group_of(arrival.id).unwrap() - 1] += 1;
         }

@@ -181,7 +181,7 @@ impl QueryLogDataset {
             // Popular: brand plus one qualifier, chosen deterministically from
             // the rank so every query text in this band is distinct.
             let word = TAIL_WORDS[(rank / BRANDS.len()) % TAIL_WORDS.len()];
-            if rank % 5 == 0 {
+            if rank.is_multiple_of(5) {
                 format!("www.{brand}{rank}.com")
             } else {
                 format!("{brand} {word}")

@@ -108,9 +108,9 @@ mod tests {
             counts[z.sample(&mut rng)] += 1;
         }
         // Check the head ranks are within 10% of expectation.
-        for r in 0..5 {
+        for (r, &count) in counts.iter().enumerate().take(5) {
             let expected = z.expected_count(r, n);
-            let observed = counts[r] as f64;
+            let observed = count as f64;
             let rel = (observed - expected).abs() / expected;
             assert!(
                 rel < 0.1,

@@ -1009,10 +1009,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             return;
         };
         for (shard, handle) in handles.iter_mut().enumerate() {
-            let died = handle
-                .thread
-                .as_ref()
-                .map_or(false, JoinHandle::is_finished)
+            let died = handle.thread.as_ref().is_some_and(JoinHandle::is_finished)
                 && !handle.cell.is_closed();
             if !died {
                 continue;

@@ -224,7 +224,7 @@ impl DecisionTree {
                     + (right_n as f64 / n) * gini(&right_counts, right_n);
                 let decrease = parent_impurity - weighted;
                 if decrease >= config.min_impurity_decrease
-                    && best.map_or(true, |(_, _, d)| decrease > d)
+                    && best.is_none_or(|(_, _, d)| decrease > d)
                 {
                     best = Some((feature, 0.5 * (v + v_next), decrease));
                 }

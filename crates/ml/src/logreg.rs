@@ -167,10 +167,10 @@ impl LogisticRegression {
             .map(|c| {
                 let w = &self.weights[c * self.num_features..(c + 1) * self.num_features];
                 let mut z = self.biases[c];
-                for i in 0..self.num_features {
+                for (i, &weight) in w.iter().enumerate() {
                     let x = row.get(i).copied().unwrap_or(0.0);
                     let standardized = (x - self.feature_means[i]) / self.feature_stds[i];
-                    z += w[i] * standardized;
+                    z += weight * standardized;
                 }
                 z
             })

@@ -135,7 +135,7 @@ impl ConfusionMatrix {
                 }
             }
         }
-        pairs.sort_by(|a, b| b.2.cmp(&a.2));
+        pairs.sort_by_key(|&(_, _, count)| std::cmp::Reverse(count));
         pairs.truncate(top);
         pairs
     }

@@ -1120,7 +1120,7 @@ mod tests {
                 },
             )
             .unwrap();
-        registry.ingest(&"t", &element(1)).unwrap();
+        registry.ingest("t", &element(1)).unwrap();
         let _ = registry.query("t", &element(1)).unwrap();
         let _ = registry.query("ghost", &element(1));
         let stats = registry.stats();

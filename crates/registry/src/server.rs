@@ -6,6 +6,14 @@
 //! mutex shared with the embedding process, so a program can serve remote
 //! clients while ingesting locally through [`SketchServer::registry`].
 //!
+//! Clients may pipeline request lines: send a window of requests without
+//! waiting for the answers. Responses come back in request order, and a
+//! connection flushes them once per drained window — whenever its read
+//! buffer holds no complete request line — so a window costs one write, not
+//! one per request. Accepted streams set `TCP_NODELAY`, so a flush never
+//! waits for the client's delayed ACK. A request split across reads, even
+//! across a read-timeout poll, is reassembled before it is parsed.
+//!
 //! Shutdown is cooperative and clean: the accept loop polls a flag between
 //! non-blocking accepts, connection handlers poll it between read timeouts,
 //! and [`SketchServer::shutdown`] joins every thread before returning — no
@@ -14,7 +22,7 @@
 
 use crate::protocol::Command;
 use crate::registry::SketchRegistry;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -142,38 +150,50 @@ fn accept_loop(
     handlers
 }
 
-/// Serves one client: read a line, execute, write a line, until QUIT, EOF,
-/// or server shutdown.
+/// Serves one client: read a line, execute, buffer its response line, until
+/// QUIT, EOF, or server shutdown.
+///
+/// Responses are flushed exactly when the reader holds no complete request
+/// line, i.e. before every read that could block, so a pipelined window is
+/// answered in one write and a lone request in one segment.
 fn handle_connection(
     stream: TcpStream,
     registry: Arc<Mutex<SketchRegistry>>,
     stop: Arc<AtomicBool>,
 ) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    if stream.set_read_timeout(Some(READ_POLL)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
+        Ok(writer) => BufWriter::new(writer),
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Raw bytes, so a request split by a read timeout keeps its partial
+    // prefix even when the split falls inside a multi-byte character.
+    let mut line = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed the connection
+        if !reader.buffer().contains(&b'\n') && writer.flush().is_err() {
+            return;
+        }
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // client closed the connection
             Ok(_) => {}
             Err(err)
                 if err.kind() == ErrorKind::WouldBlock || err.kind() == ErrorKind::TimedOut =>
             {
-                continue; // idle: re-check the shutdown flag
+                continue; // idle: re-check the shutdown flag, keeping any partial line
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let Ok(request) = std::str::from_utf8(&line) else {
+            break; // not a text line: the protocol has no answer for it
+        };
+        if request.trim().is_empty() {
+            line.clear();
             continue;
         }
-        let (response, quit) = match Command::parse(&line) {
+        let (response, quit) = match Command::parse(request) {
             Ok(command) => {
                 let response = {
                     let mut registry = registry
@@ -185,18 +205,21 @@ fn handle_connection(
             }
             Err(reason) => (format!("ERR {reason}"), false),
         };
+        line.clear();
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
             .is_err()
         {
             return;
         }
         if quit {
-            return;
+            break;
         }
     }
+    // Answers already buffered (QUIT's own, or those of a window cut short
+    // by shutdown or a non-text line) still go out before the close.
+    let _ = writer.flush();
 }
 
 #[cfg(test)]

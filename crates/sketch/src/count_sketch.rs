@@ -142,7 +142,7 @@ impl CountSketch {
     pub fn fold_to_width(&mut self, new_width: usize) {
         assert!(new_width > 0, "new width must be positive");
         assert!(
-            self.width % new_width == 0,
+            self.width.is_multiple_of(new_width),
             "new width must divide the current width"
         );
         if new_width == self.width {

@@ -49,7 +49,7 @@ impl PairwiseHash {
     /// Constructs a hash function from explicit coefficients (for tests).
     pub fn from_coefficients(a: u64, b: u64, range: usize) -> Self {
         assert!(range > 0, "hash range must be positive");
-        assert!(a >= 1 && a < MERSENNE_61, "a must lie in [1, p)");
+        assert!((1..MERSENNE_61).contains(&a), "a must lie in [1, p)");
         assert!(b < MERSENNE_61, "b must lie in [0, p)");
         PairwiseHash {
             a,
@@ -86,7 +86,7 @@ impl PairwiseHash {
     pub fn with_range(&self, range: usize) -> Self {
         assert!(range > 0, "hash range must be positive");
         assert!(
-            self.range as usize % range == 0,
+            (self.range as usize).is_multiple_of(range),
             "new range must divide the current range"
         );
         PairwiseHash {

@@ -397,10 +397,7 @@ impl BcdSolver {
             if result.cancelled {
                 cancelled = true;
             }
-            if best
-                .as_ref()
-                .map_or(true, |b| result.objective < b.objective)
-            {
+            if best.as_ref().is_none_or(|b| result.objective < b.objective) {
                 time_to_best = start.elapsed();
                 best = Some(BestState {
                     assignment: result.assignment,

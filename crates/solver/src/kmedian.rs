@@ -335,9 +335,7 @@ fn kmedian_dp_inner(
     // Map sorted positions to cluster indices, then back to input order.
     let mut cluster_of_sorted = vec![0usize; n];
     for (cluster, &(s, e)) in boundaries.iter().enumerate() {
-        for pos in s..=e {
-            cluster_of_sorted[pos] = cluster;
-        }
+        cluster_of_sorted[s..=e].fill(cluster);
     }
     let mut assignment = vec![0usize; n];
     for (pos, &orig) in order.iter().enumerate() {

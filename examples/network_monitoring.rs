@@ -153,7 +153,7 @@ fn main() {
     estimated.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     let true_top: Vec<u64> = {
         let mut v: Vec<(u64, u64)> = truth.iter().map(|(id, f)| (id.raw(), f)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1));
+        v.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
         v.into_iter().take(20).map(|(id, _)| id).collect()
     };
     let reported: Vec<u64> = estimated.iter().take(20).map(|(id, _)| *id).collect();

@@ -1,12 +1,15 @@
 //! Loopback smoke test of the line-protocol server: spawns a real TCP
 //! server on an OS-assigned port, drives the full command grammar over a
 //! socket like any external client would, and verifies clean shutdown
-//! (every server thread joined, no lingering listeners).
+//! (every server thread joined, no lingering listeners). The pipelining
+//! cases pin the write discipline: round trips that do not stall on
+//! delayed ACKs, one answer per pipelined line in order, and requests
+//! split across the server's read-timeout poll.
 
 use opthash_repro::prelude::*;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A tiny line-oriented client.
 struct Client {
@@ -16,18 +19,30 @@ struct Client {
 
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> Self {
+        Self::connect_with_timeout(addr, Duration::from_secs(10))
+    }
+
+    fn connect_with_timeout(addr: std::net::SocketAddr, timeout: Duration) -> Self {
         let stream = TcpStream::connect(addr).expect("connect to server");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("set timeout");
+        stream.set_read_timeout(Some(timeout)).expect("set timeout");
         let reader = BufReader::new(stream.try_clone().expect("clone stream"));
         Client { stream, reader }
     }
 
     fn send(&mut self, line: &str) -> String {
+        self.write(&format!("{line}\n"));
+        self.response()
+    }
+
+    /// Writes raw bytes in one call, without waiting for any answer.
+    fn write(&mut self, bytes: &str) {
         self.stream
-            .write_all(format!("{line}\n").as_bytes())
+            .write_all(bytes.as_bytes())
             .expect("send command");
+    }
+
+    /// Reads one response line.
+    fn response(&mut self) -> String {
         let mut response = String::new();
         self.reader
             .read_line(&mut response)
@@ -38,6 +53,18 @@ impl Client {
         );
         response.trim_end().to_owned()
     }
+
+    /// True once the server has closed the connection (EOF, no more bytes).
+    fn closed(&mut self) -> bool {
+        let mut rest = Vec::new();
+        matches!(self.reader.read_to_end(&mut rest), Ok(0))
+    }
+}
+
+fn registry_mass(server: &SketchServer) -> u64 {
+    let registry = server.registry();
+    let registry = registry.lock().expect("registry lock");
+    registry.stats().ingested_mass
 }
 
 #[test]
@@ -150,5 +177,113 @@ fn embedded_ingest_and_network_queries_share_state() {
             .expect("local query");
         assert_eq!(estimate, 7.0);
     }
+    server.shutdown();
+}
+
+#[test]
+fn sequential_round_trips_do_not_stall() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(client.send("CREATE t count-min:64x4"), "OK t0");
+    assert_eq!(client.send("ADD t 5 3"), "OK");
+    let start = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(client.send("QUERY t 5"), "OK 3");
+    }
+    let elapsed = start.elapsed();
+    // A response written in two segments with Nagle on waits ~40 ms for the
+    // client's delayed ACK: 200 round trips would take ~8 s.
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 QUERY round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_window_is_answered_in_order() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(client.send("CREATE t count-sketch:16x3"), "OK t0");
+    // Every eighth ADD names an unknown tenant, so its ERR answer marks a
+    // position in the response stream.
+    let mut window = String::new();
+    let mut mass = 0;
+    for i in 0..64u64 {
+        if i % 8 == 7 {
+            window.push_str(&format!("ADD ghost {i}\n"));
+        } else {
+            window.push_str(&format!("ADD t {} {}\n", i % 5, i + 1));
+            mass += i + 1;
+        }
+    }
+    window.push_str("QUERY t 3\n");
+    client.write(&window);
+    for i in 0..64 {
+        let response = client.response();
+        if i % 8 == 7 {
+            assert!(
+                response.starts_with("ERR unknown tenant"),
+                "line {i}: {response}"
+            );
+        } else {
+            assert_eq!(response, "OK", "line {i}");
+        }
+    }
+    let answer = client.response();
+    let socket: f64 = answer
+        .strip_prefix("OK ")
+        .and_then(|estimate| estimate.parse().ok())
+        .unwrap_or_else(|| panic!("QUERY answered {answer:?}"));
+    let local = {
+        let registry = server.registry();
+        let mut registry = registry.lock().expect("registry lock");
+        registry
+            .query("t", &StreamElement::without_features(3u64))
+            .expect("tenant is live")
+    };
+    assert_eq!(socket.to_bits(), local.to_bits());
+    assert_eq!(registry_mass(&server), mass);
+    // Exactly 65 answers: the next one belongs to the next request.
+    assert_eq!(client.send("PING"), "OK pong");
+    server.shutdown();
+}
+
+#[test]
+fn request_split_across_a_read_timeout_is_reassembled() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    client.write("PI");
+    // Longer than the server's read poll, so the first half is read before
+    // a timeout and the second after it.
+    std::thread::sleep(Duration::from_millis(120));
+    client.write("NG\n");
+    assert_eq!(client.response(), "OK pong");
+    server.shutdown();
+}
+
+#[test]
+fn blank_line_after_a_request_still_flushes_its_answer() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect_with_timeout(server.local_addr(), Duration::from_secs(1));
+    client.write("PING\n\n");
+    assert_eq!(client.response(), "OK pong");
+    server.shutdown();
+}
+
+#[test]
+fn quit_mid_window_answers_and_closes() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    client.write("CREATE t count-min:64x4\nADD t 5\nQUIT\nADD t 5\n");
+    assert_eq!(client.response(), "OK t0");
+    assert_eq!(client.response(), "OK");
+    assert_eq!(client.response(), "OK bye");
+    assert!(
+        client.closed(),
+        "the server closes the connection after QUIT"
+    );
+    // The ADD pipelined behind QUIT is never executed.
+    assert_eq!(registry_mass(&server), 1);
     server.shutdown();
 }
