@@ -7,7 +7,7 @@ use crate::queue::{BatchData, QueuedBatch, ShardChannel, ShardCounters};
 use crate::snapshot::{
     BaseSlot, EpochStamp, PublishedSlot, SnapshotEstimate, SnapshotHub, SnapshotReader,
 };
-use crate::worker::{apply_batch, apply_batch_injected, spawn_worker, ShardHandle, WorkerConfig};
+use crate::worker::{apply_batch, spawn_worker, ShardHandle, WorkerConfig};
 use opthash::MassLedger;
 use opthash_stream::{SpaceReport, Stream, StreamElement};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,25 +37,8 @@ fn mix64(x: u64) -> u64 {
     z ^ (z >> 29)
 }
 
-/// How shard batches are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IngestMode {
-    /// **Always-on workers** (the default): each shard owns a persistent
-    /// worker thread fed by a bounded queue, so batch application overlaps
-    /// ingestion and all cores stay busy between flushes. Workers are
-    /// panic-isolated and supervised (see the crate docs).
-    #[default]
-    Workers,
-    /// **Flush-time application**: batches are applied on the calling
-    /// thread (or scoped threads during an explicit [`IngestEngine::flush`]).
-    /// No worker threads, no queues — backpressure policies do not apply.
-    /// Kept as the pre-worker baseline for benchmarking and for contexts
-    /// where spawning threads is undesirable.
-    Inline,
-}
-
 /// What the engine does when an arrival routes to a shard whose worker
-/// queue is full (worker mode only).
+/// queue is full.
 ///
 /// Every policy upholds the same conservation invariant, checked by
 /// [`EngineStats::conserved`]: offered mass = accepted + rejected +
@@ -83,15 +66,12 @@ pub enum BackpressurePolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of shards the key space is hash-partitioned into. Each shard
-    /// owns a fork of the backend and (in worker mode) a persistent worker
-    /// thread.
+    /// owns a fork of the backend and a persistent worker thread.
     pub shards: usize,
     /// Number of *distinct* elements a shard buffers before its batch is
     /// dispatched. Larger batches aggregate more duplicate arrivals (a big
     /// win on skewed streams) at the cost of staleness and buffer memory.
     pub batch_capacity: usize,
-    /// Whether batches are applied by persistent workers or at flush time.
-    pub mode: IngestMode,
     /// Overload behaviour when a shard's worker queue is full.
     pub backpressure: BackpressurePolicy,
     /// Bounded depth of each shard's worker queue, in batches.
@@ -110,7 +90,6 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: 4,
             batch_capacity: 8_192,
-            mode: IngestMode::Workers,
             backpressure: BackpressurePolicy::Block,
             queue_capacity: 8,
             max_batch_attempts: 3,
@@ -134,13 +113,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the ingest mode.
-    pub fn mode(mut self, mode: IngestMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the backpressure policy (worker mode only).
+    /// Sets the backpressure policy.
     pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
         self.backpressure = policy;
         self
@@ -428,26 +401,6 @@ impl BatchBuffer {
     }
 }
 
-/// Mode-specific engine state.
-enum ModeState<B: SketchBackend> {
-    Inline {
-        shards: Vec<B>,
-        poisoned: Vec<bool>,
-        counters: ShardCounters,
-        quarantined: Vec<Arc<BatchData>>,
-        /// Count mass applied into each shard backend under the current
-        /// scheme version — what an inline snapshot publication stamps.
-        applied_mass: Vec<u64>,
-        /// Mass last published to each shard's query-snapshot slot; a flush
-        /// republishes only shards whose applied mass moved, so idle shards
-        /// pay no clone.
-        published_mass: Vec<u64>,
-    },
-    Workers {
-        handles: Vec<ShardHandle<B>>,
-    },
-}
-
 enum DispatchOutcome {
     Dispatched,
     QueueFull,
@@ -459,10 +412,11 @@ enum DispatchOutcome {
 /// Arrivals are hash-partitioned by element ID across `N` shards. Each shard
 /// buffers its arrivals in a pre-aggregating batch (duplicate IDs collapse
 /// into one weighted update — a large win on the skewed streams the paper
-/// studies). In the default [`IngestMode::Workers`], full batches are fed
-/// through a bounded queue to the shard's **persistent worker thread**, so
-/// application overlaps ingestion and all cores stay busy between flushes;
-/// overload behaviour is governed by the configured [`BackpressurePolicy`].
+/// studies). Full batches are fed through a bounded queue to the shard's
+/// **persistent worker thread**, so application overlaps ingestion and all
+/// cores stay busy between flushes; overload behaviour is governed by the
+/// configured [`BackpressurePolicy`]. An idle worker parks on its queue and
+/// costs no CPU beyond a timed backstop wake-up.
 ///
 /// # Two read paths
 ///
@@ -481,12 +435,12 @@ enum DispatchOutcome {
 ///
 /// # Robustness
 ///
-/// Worker-mode engines treat failure as a first-class input (see the
-/// crate-level docs for the full model): batch application is
-/// panic-isolated, poison-pill batches are quarantined after a bounded
-/// number of attempts, dead workers are re-forked from their shard's last
-/// checkpoint with the surviving queue replayed, and every such event is
-/// recorded in the [`FaultLog`]. The fallible operations return
+/// The engine treats failure as a first-class input (see the crate-level
+/// docs for the full model): batch application is panic-isolated,
+/// poison-pill batches are quarantined after a bounded number of attempts,
+/// dead workers are re-forked from their shard's last checkpoint with the
+/// surviving queue replayed, and every such event is recorded in the
+/// [`FaultLog`]. The fallible operations return
 /// [`EngineError`] instead of panicking, and [`EngineStats`] carries
 /// conservation ledgers proving no arrival is ever silently dropped.
 ///
@@ -502,17 +456,27 @@ enum DispatchOutcome {
 ///
 /// # Memory
 ///
-/// The engine keeps `2 × shards + 1` copies of the backend's counter state
-/// in worker mode (the pristine base, plus each shard's checkpoint snapshot
-/// and worker scratch copy — the published query snapshot shares the
-/// checkpoint's allocation), plus up to
+/// The engine keeps `2 × shards + 3` copies of the backend's state, which
+/// is what [`IngestEngine::space_report`] charges:
+///
+/// * the engine's base backend;
+/// * the snapshot hub's copy of that base, which readers merge onto;
+/// * per shard, the last checkpoint snapshot (the published query snapshot
+///   shares its allocation) and the worker's scratch copy;
+/// * one merged view: the barrier path's cached merge, or before the first
+///   synced query the empty fork every shard starts from.
+///
+/// On top of that come each shard's batch buffer and up to
 /// `queue_capacity + checkpoint_interval` batches per shard in flight,
-/// trading memory for ingest throughput and crash recoverability. Each live
-/// [`SnapshotReader`] additionally caches one merged view.
+/// trading memory for ingest throughput and crash recoverability. Each
+/// [`SnapshotReader`] that has answered a query (the engine's own, once
+/// [`IngestEngine::query`] is used) caches one more merged view, and after a
+/// hot-swap every shard's slot retains its retired delta until the next
+/// swap.
 pub struct IngestEngine<B: SketchBackend> {
     base: B,
     buffers: Vec<BatchBuffer>,
-    mode: ModeState<B>,
+    handles: Vec<ShardHandle<B>>,
     merged: Option<B>,
     hub: Arc<SnapshotHub<B>>,
     reader: SnapshotReader<B>,
@@ -529,9 +493,9 @@ pub struct IngestEngine<B: SketchBackend> {
 }
 
 impl<B: SketchBackend + 'static> IngestEngine<B> {
-    /// Wraps `backend` in an engine with the given configuration. In
-    /// [`IngestMode::Workers`] the per-shard worker threads start
-    /// immediately and live until the engine is finished or dropped.
+    /// Wraps `backend` in an engine with the given configuration. The
+    /// per-shard worker threads start immediately and live until the engine
+    /// is finished or dropped.
     ///
     /// The backend may already hold state (e.g. a trained
     /// [`opthash::OptHash`] with prefix counts); that state is preserved in
@@ -563,49 +527,38 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             shards: slots.clone(),
         });
         let reader = SnapshotReader::new(Arc::clone(&hub));
-        let mode = match config.mode {
-            IngestMode::Inline => ModeState::Inline {
-                shards: (0..config.shards).map(|_| backend.fork()).collect(),
-                poisoned: vec![false; config.shards],
-                counters: ShardCounters::default(),
-                quarantined: Vec::new(),
-                applied_mass: vec![0; config.shards],
-                published_mass: vec![0; config.shards],
-            },
-            IngestMode::Workers => {
-                let handles = (0..config.shards)
-                    .map(|shard| {
-                        let cell = Arc::new(ShardChannel::new(
-                            Arc::clone(&blank),
-                            config.queue_capacity,
-                            Arc::clone(&slots[shard]),
-                        ));
-                        let thread = spawn_worker(
-                            Arc::clone(&cell),
-                            Arc::clone(&fault_log),
-                            faults.clone(),
-                            WorkerConfig {
-                                shard,
-                                max_batch_attempts: config.max_batch_attempts,
-                                checkpoint_interval: config.checkpoint_interval,
-                            },
-                            0,
-                        );
-                        ShardHandle {
-                            cell,
-                            thread: Some(thread),
-                            generation: 0,
-                            poison_logged: false,
-                        }
-                    })
-                    .collect();
-                ModeState::Workers { handles }
-            }
-        };
+        let handles = slots
+            .into_iter()
+            .enumerate()
+            .map(|(shard, slot)| {
+                let cell = Arc::new(ShardChannel::new(
+                    Arc::clone(&blank),
+                    config.queue_capacity,
+                    slot,
+                ));
+                let thread = spawn_worker(
+                    Arc::clone(&cell),
+                    Arc::clone(&fault_log),
+                    faults.clone(),
+                    WorkerConfig {
+                        shard,
+                        max_batch_attempts: config.max_batch_attempts,
+                        checkpoint_interval: config.checkpoint_interval,
+                    },
+                    0,
+                );
+                ShardHandle {
+                    cell,
+                    thread: Some(thread),
+                    generation: 0,
+                    poison_logged: false,
+                }
+            })
+            .collect();
         IngestEngine {
             base: backend,
             buffers,
-            mode,
+            handles,
             merged: None,
             hub,
             reader,
@@ -650,21 +603,14 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     pub fn stats(&self) -> EngineStats {
         let mut counters = ShardCounters::default();
         let mut queued_mass = 0u64;
-        match &self.mode {
-            ModeState::Inline {
-                counters: inline, ..
-            } => counters.absorb(inline),
-            ModeState::Workers { handles } => {
-                for handle in handles {
-                    let inner = handle.cell.lock_always();
-                    counters.absorb(&inner.counters);
-                    // Read under the control lock: the worker only debits
-                    // queued mass while holding it, and the engine (the
-                    // only thread crediting) is the caller — so the ledger
-                    // identity holds at this instant.
-                    queued_mass += handle.cell.queued_mass();
-                }
-            }
+        for handle in &self.handles {
+            let inner = handle.cell.lock_always();
+            counters.absorb(&inner.counters);
+            // Read under the control lock: the worker only debits queued
+            // mass while holding it, and the engine (the only thread
+            // crediting) is the caller — so the ledger identity holds at
+            // this instant.
+            queued_mass += handle.cell.queued_mass();
         }
         let mut stats = EngineStats {
             elements: self.elements,
@@ -698,18 +644,10 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// fixing the underlying fault).
     pub fn quarantined(&self) -> Vec<(StreamElement, u64)> {
         let mut updates = Vec::new();
-        let mut collect = |batches: &[Arc<BatchData>]| {
-            for batch in batches {
+        for handle in &self.handles {
+            let inner = handle.cell.lock_always();
+            for batch in &inner.quarantined {
                 updates.extend(batch.updates.iter().cloned());
-            }
-        };
-        match &self.mode {
-            ModeState::Inline { quarantined, .. } => collect(quarantined),
-            ModeState::Workers { handles } => {
-                for handle in handles {
-                    let inner = handle.cell.lock_always();
-                    collect(&inner.quarantined);
-                }
             }
         }
         updates
@@ -888,25 +826,17 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         self.ingest_batch(stream.as_slice())
     }
 
-    /// Drains `shard`'s buffer and hands the batch to its worker (or
-    /// applies it inline). `force_block` overrides the configured policy
-    /// with blocking semantics — used by [`IngestEngine::flush`], which
-    /// must never shed load.
+    /// Drains `shard`'s buffer and hands the batch to its worker.
+    /// `force_block` overrides the configured policy with blocking
+    /// semantics — used by [`IngestEngine::flush`], which must never shed
+    /// load.
     fn dispatch(
         &mut self,
         shard: usize,
         force_block: bool,
     ) -> Result<DispatchOutcome, EngineError> {
-        if matches!(self.mode, ModeState::Inline { .. }) {
-            return self.dispatch_inline(shard);
-        }
         self.faults.hit_result_at("engine::dispatch", Some(shard))?;
-        let cell = {
-            let ModeState::Workers { handles } = &self.mode else {
-                unreachable!("inline handled above")
-            };
-            Arc::clone(&handles[shard].cell)
-        };
+        let cell = Arc::clone(&self.handles[shard].cell);
         let policy = if force_block {
             BackpressurePolicy::Block
         } else {
@@ -951,51 +881,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         }
     }
 
-    /// Flush-time (inline-mode) batch application on the calling thread,
-    /// panic-isolated: a panic poisons only the affected shard.
-    fn dispatch_inline(&mut self, shard: usize) -> Result<DispatchOutcome, EngineError> {
-        let ModeState::Inline {
-            shards,
-            poisoned,
-            counters,
-            quarantined,
-            applied_mass,
-            ..
-        } = &mut self.mode
-        else {
-            unreachable!("caller checked the mode")
-        };
-        if poisoned[shard] {
-            return Err(EngineError::ShardPoisoned { shard });
-        }
-        let batch = Arc::new(self.buffers[shard].drain_to_batch());
-        let backend = &mut shards[shard];
-        let faults = &self.faults;
-        let applied = catch_unwind(AssertUnwindSafe(|| {
-            apply_batch_injected(backend, &batch, faults, shard);
-        }));
-        match applied {
-            Ok(()) => {
-                counters.applied_updates += batch.updates.len() as u64;
-                counters.applied_mass += batch.mass;
-                applied_mass[shard] += batch.mass;
-                Ok(DispatchOutcome::Dispatched)
-            }
-            Err(_) => {
-                // The shard backend may be half-updated: fence it off and
-                // set the batch aside so its mass stays accounted.
-                poisoned[shard] = true;
-                counters.batch_failures += 1;
-                counters.quarantined_updates += batch.updates.len() as u64;
-                counters.quarantined_mass += batch.mass;
-                quarantined.push(batch);
-                fault::record(&self.fault_log, FaultEvent::ShardPoisoned { shard });
-                Err(EngineError::ShardPoisoned { shard })
-            }
-        }
-    }
-
-    /// Detects dead shard workers and re-forks replacements (worker mode).
+    /// Detects dead shard workers and re-forks replacements.
     ///
     /// A replacement rebuilds the shard's state from its last checkpoint
     /// plus the recovery journal, requeues any batch that was inflight when
@@ -1005,10 +891,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// this directly is only needed to reap a death while the engine is
     /// otherwise idle.
     pub fn supervise(&mut self) {
-        let ModeState::Workers { handles } = &mut self.mode else {
-            return;
-        };
-        for (shard, handle) in handles.iter_mut().enumerate() {
+        for (shard, handle) in self.handles.iter_mut().enumerate() {
             let died = handle.thread.as_ref().is_some_and(JoinHandle::is_finished)
                 && !handle.cell.is_closed();
             if !died {
@@ -1089,147 +972,48 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         }
         self.merged = None;
         self.flushes += 1;
-        match self.config.mode {
-            IngestMode::Inline => self.flush_inline()?,
-            IngestMode::Workers => {
-                // A poisoned shard must not stop the others from flushing:
-                // record the first error but keep dispatching and keep the
-                // barrier, so every healthy shard still reaches a
-                // consistent checkpoint (mirrors `flush_inline`).
-                let mut first_err = None;
-                for shard in 0..self.buffers.len() {
-                    if !self.buffers[shard].is_empty() {
-                        if let Err(err) = self.dispatch(shard, true) {
-                            first_err.get_or_insert(err);
-                        }
-                    }
-                }
-                if let Err(err) = self.barrier() {
-                    first_err.get_or_insert(err);
-                }
-                if let Some(err) = first_err {
-                    return Err(err);
-                }
-            }
+        // A poisoned shard must not stop the others from flushing: record
+        // the first error but keep dispatching and keep the barrier, so
+        // every healthy shard still reaches a consistent checkpoint.
+        let mut first_err = self.dispatch_all().err();
+        if let Err(err) = self.barrier() {
+            first_err.get_or_insert(err);
+        }
+        if let Some(err) = first_err {
+            return Err(err);
         }
         self.dirty = false;
         Ok(())
     }
 
-    /// Inline-mode flush: applies all pending batches, one scoped worker
-    /// thread per non-empty shard (a single-shard engine applies on the
-    /// calling thread to skip the spawn cost). This is the pre-worker
-    /// engine's flush-time parallelism, kept for [`IngestMode::Inline`].
-    fn flush_inline(&mut self) -> Result<(), EngineError> {
-        let ModeState::Inline {
-            shards,
-            poisoned,
-            counters,
-            quarantined,
-            applied_mass,
-            published_mass,
-        } = &mut self.mode
-        else {
-            unreachable!("caller checked the mode")
-        };
+    /// Dispatches every non-empty shard buffer with blocking semantics
+    /// (flush, swap and finish never shed load). Keeps going past a
+    /// poisoned shard and returns the first error.
+    fn dispatch_all(&mut self) -> Result<(), EngineError> {
         let mut first_err = None;
-        // Drain every pending buffer up front. A poisoned shard's batch is
-        // quarantined immediately (its backend must not be touched) so the
-        // mass stays accounted.
-        let mut batches: Vec<Option<Arc<BatchData>>> = Vec::with_capacity(shards.len());
-        for (shard, buffer) in self.buffers.iter_mut().enumerate() {
-            if buffer.is_empty() {
-                batches.push(None);
-                continue;
-            }
-            let batch = Arc::new(buffer.drain_to_batch());
-            if poisoned[shard] {
-                counters.quarantined_updates += batch.updates.len() as u64;
-                counters.quarantined_mass += batch.mass;
-                quarantined.push(batch);
-                first_err.get_or_insert(EngineError::ShardPoisoned { shard });
-                batches.push(None);
-            } else {
-                batches.push(Some(batch));
-            }
-        }
-        let faults = &self.faults;
-        let results: Vec<(usize, Result<(), ()>)> = std::thread::scope(|scope| {
-            let mut spawned = Vec::with_capacity(shards.len());
-            for (shard, (backend, batch)) in shards.iter_mut().zip(batches.iter()).enumerate() {
-                let Some(batch) = batch else { continue };
-                let batch = Arc::clone(batch);
-                spawned.push((
-                    shard,
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            apply_batch_injected(backend, &batch, faults, shard);
-                        }))
-                        .map_err(|_| ())
-                    }),
-                ));
-            }
-            spawned
-                .into_iter()
-                .map(|(shard, handle)| (shard, handle.join().unwrap_or(Err(()))))
-                .collect()
-        });
-        for (shard, result) in results {
-            let batch = batches[shard]
-                .take()
-                .expect("threads are spawned only for drained batches");
-            match result {
-                Ok(()) => {
-                    counters.applied_updates += batch.updates.len() as u64;
-                    counters.applied_mass += batch.mass;
-                    applied_mass[shard] += batch.mass;
-                }
-                Err(()) => {
-                    poisoned[shard] = true;
-                    counters.batch_failures += 1;
-                    counters.quarantined_updates += batch.updates.len() as u64;
-                    counters.quarantined_mass += batch.mass;
-                    quarantined.push(batch);
-                    fault::record(&self.fault_log, FaultEvent::ShardPoisoned { shard });
-                    first_err.get_or_insert(EngineError::ShardPoisoned { shard });
+        for shard in 0..self.buffers.len() {
+            if !self.buffers[shard].is_empty() {
+                if let Err(err) = self.dispatch(shard, true) {
+                    first_err.get_or_insert(err);
                 }
             }
         }
-        // Inline mode has no workers to publish query snapshots, so the
-        // flush is the publication point: every shard whose applied mass
-        // moved (whether here or in an earlier mid-ingest dispatch) gets a
-        // fresh snapshot in its slot. Poisoned shards keep their last
-        // consistent publication.
-        for (shard, backend) in shards.iter().enumerate() {
-            if poisoned[shard] || applied_mass[shard] == published_mass[shard] {
-                continue;
-            }
-            self.hub.shards[shard].publish(Arc::new(backend.clone()), applied_mass[shard]);
-            published_mass[shard] = applied_mass[shard];
-        }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
-    /// Worker-mode flush barrier: waits for every shard to drain and
-    /// checkpoint, supervising while it waits.
+    /// Flush barrier: waits for every shard to drain and checkpoint,
+    /// supervising while it waits.
     fn barrier(&mut self) -> Result<(), EngineError> {
-        let requests: Vec<(usize, Arc<ShardChannel<B>>, u64)> = {
-            let ModeState::Workers { handles } = &self.mode else {
-                unreachable!("caller checked the mode")
-            };
-            handles
-                .iter()
-                .enumerate()
-                .map(|(shard, handle)| {
-                    let cell = Arc::clone(&handle.cell);
-                    let epoch = cell.request_sync();
-                    (shard, cell, epoch)
-                })
-                .collect()
-        };
+        let requests: Vec<(usize, Arc<ShardChannel<B>>, u64)> = self
+            .handles
+            .iter()
+            .enumerate()
+            .map(|(shard, handle)| {
+                let cell = Arc::clone(&handle.cell);
+                let epoch = cell.request_sync();
+                (shard, cell, epoch)
+            })
+            .collect();
         let mut first_err = None;
         for (shard, cell, epoch) in requests {
             loop {
@@ -1264,11 +1048,11 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// the **retired** backend holding every count admitted under the old
     /// scheme — the online re-training hot-swap.
     ///
-    /// In worker mode no thread is stalled, stopped, or restarted: pending
-    /// buffers are dispatched with blocking semantics (a swap never sheds
-    /// load), then each shard is handed a swap request that its worker picks
-    /// up as the next queue event after draining its batches. The worker
-    /// retires its scratch delta — migrated out through the same
+    /// No thread is stalled, stopped, or restarted: pending buffers are
+    /// dispatched with blocking semantics (a swap never sheds load), then
+    /// each shard is handed a swap request that its worker picks up as the
+    /// next queue event after draining its batches. The worker retires its
+    /// scratch delta — migrated out through the same
     /// [`SketchBackend::fork`]/[`SketchBackend::merge`] machinery checkpoints
     /// use — and re-forks from the new base; the retired per-shard deltas
     /// are merged into the old base, which is returned. A worker that dies
@@ -1287,122 +1071,65 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// withheld because it would under-count the poisoned shard's delta.
     pub fn swap_backend(&mut self, new_base: B) -> Result<B, EngineError> {
         self.merged = None;
-        let mut first_err = None;
-        match self.config.mode {
-            IngestMode::Inline => {
-                if let Err(err) = self.flush() {
-                    first_err.get_or_insert(err);
+        let mut first_err = self.dispatch_all().err();
+        // Publish the new scheme to every shard, then wait for each worker
+        // to retire its delta, supervising while waiting so a worker that
+        // dies mid-swap is re-forked to redo it.
+        let fresh = new_base.clone();
+        let shared = Arc::new(new_base);
+        let cells: Vec<Arc<ShardChannel<B>>> = self
+            .handles
+            .iter()
+            .map(|handle| Arc::clone(&handle.cell))
+            .collect();
+        let version = self.scheme_version + 1;
+        for cell in &cells {
+            cell.request_swap(version, Arc::clone(&shared));
+        }
+        for (shard, cell) in cells.iter().enumerate() {
+            loop {
+                let (done, poisoned) = cell.wait_swap(SUPERVISE_TICK);
+                if poisoned {
+                    self.supervise();
+                    first_err.get_or_insert(EngineError::ShardPoisoned { shard });
+                    break;
                 }
-                let ModeState::Inline {
-                    shards,
-                    poisoned,
-                    applied_mass,
-                    published_mass,
-                    ..
-                } = &mut self.mode
-                else {
-                    unreachable!("mode cannot change")
-                };
-                let version = self.scheme_version + 1;
-                let mut retired = std::mem::replace(&mut self.base, new_base);
-                for (shard, backend) in shards.iter_mut().enumerate() {
-                    if poisoned[shard] {
-                        first_err.get_or_insert(EngineError::ShardPoisoned { shard });
-                        continue;
-                    }
-                    let old = Arc::new(std::mem::replace(backend, self.base.fork()));
-                    retired.merge(&old);
-                    // Publish the swap to the query-snapshot slot: the
-                    // retired delta stays readable (as `prev`) until the
-                    // base below advances, so a concurrent reader always
-                    // assembles one scheme version, never a mix.
-                    self.hub.shards[shard].publish_swap(
-                        version,
-                        Arc::new(backend.clone()),
-                        applied_mass[shard],
-                        old,
-                    );
-                    applied_mass[shard] = 0;
-                    published_mass[shard] = 0;
+                if done {
+                    break;
                 }
-                self.scheme_version = version;
-                self.hub.base.store(version, Arc::new(self.base.clone()));
-                match first_err {
-                    Some(err) => Err(err),
-                    None => Ok(retired),
-                }
+                self.supervise();
             }
-            IngestMode::Workers => {
-                for shard in 0..self.buffers.len() {
-                    if !self.buffers[shard].is_empty() {
-                        if let Err(err) = self.dispatch(shard, true) {
-                            first_err.get_or_insert(err);
-                        }
-                    }
-                }
-                // Publish the new scheme to every shard, then wait for each
-                // worker to retire its delta, supervising while waiting so
-                // a worker that dies mid-swap is re-forked to redo it.
-                let fresh = new_base.clone();
-                let shared = Arc::new(new_base);
-                let cells: Vec<Arc<ShardChannel<B>>> = {
-                    let ModeState::Workers { handles } = &self.mode else {
-                        unreachable!("mode cannot change")
-                    };
-                    handles
-                        .iter()
-                        .map(|handle| Arc::clone(&handle.cell))
-                        .collect()
-                };
-                let version = self.scheme_version + 1;
-                for cell in &cells {
-                    cell.request_swap(version, Arc::clone(&shared));
-                }
-                for (shard, cell) in cells.iter().enumerate() {
-                    loop {
-                        let (done, poisoned) = cell.wait_swap(SUPERVISE_TICK);
-                        if poisoned {
-                            self.supervise();
-                            first_err.get_or_insert(EngineError::ShardPoisoned { shard });
-                            break;
-                        }
-                        if done {
-                            break;
-                        }
-                        self.supervise();
-                    }
-                }
-                let mut retired = std::mem::replace(&mut self.base, fresh);
-                for cell in &cells {
-                    if let Some(delta) = cell.take_retired() {
-                        retired.merge(&delta);
-                    }
-                }
-                self.scheme_version = version;
-                // Advance the snapshot base only now, after every healthy
-                // shard has published its new-scheme slot: a reader that
-                // loads the old base still finds each shard's pre-swap
-                // delta retained as `prev`, so no stamp ever mixes scheme
-                // versions.
-                self.hub.base.store(version, shared);
-                // Every admitted arrival is either applied (inside the
-                // retired backend), quarantined, or was just re-forked away
-                // — the fresh snapshots cover all future state, so no flush
-                // is pending.
-                self.dirty = false;
-                match first_err {
-                    Some(err) => Err(err),
-                    None => Ok(retired),
-                }
+        }
+        let mut retired = std::mem::replace(&mut self.base, fresh);
+        for cell in &cells {
+            if let Some(delta) = cell.take_retired() {
+                retired.merge(&delta);
             }
+        }
+        self.scheme_version = version;
+        // Advance the snapshot base only now, after every healthy shard has
+        // published its new-scheme slot: a reader that loads the old base
+        // still finds each shard's pre-swap delta retained as `prev`, so no
+        // stamp ever mixes scheme versions.
+        self.hub.base.store(version, shared);
+        // Every admitted arrival is either applied (inside the retired
+        // backend), quarantined, or was just re-forked away — the fresh
+        // snapshots cover all future state, so no flush is pending.
+        self.dirty = false;
+        match first_err {
+            Some(err) => Err(err),
+            None => Ok(retired),
         }
     }
 
-    /// Itemized memory usage of the *logical* estimator (one backend's
-    /// state). The engine physically replicates counter state per shard;
-    /// see the type-level docs for the multiplier.
+    /// Itemized memory the engine keeps resident for the backend's state:
+    /// `2 × shards + 3` copies of one backend's report, every copy listed
+    /// under "Memory" in the type-level docs. Batch buffers, in-flight
+    /// batches, reader caches and post-swap retained deltas are not
+    /// charged.
     pub fn space_report(&self) -> SpaceReport {
-        self.base.space_report()
+        let copy = self.base.space_report();
+        SpaceReport::saturating_sum(std::iter::repeat_n(&copy, 2 * self.handles.len() + 3))
     }
 
     /// The wrapped backend's report name.
@@ -1410,39 +1137,20 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         self.base.backend_name()
     }
 
-    /// Flushes all pending batches and returns the merged estimator view.
-    ///
-    /// The merge costs `O(shards × state size)` but is cached: repeated
-    /// queries without interleaved ingestion reuse the same merged backend.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ShardPoisoned`] if any shard is fenced off — a merged
-    /// view would silently under-count, so none is produced.
-    pub fn merged(&mut self) -> Result<&B, EngineError> {
+    /// Flushes all pending batches and returns the merged estimator view
+    /// that [`IngestEngine::query_synced`] answers from. The merge costs
+    /// `O(shards × state size)` but is cached: repeated queries without
+    /// interleaved ingestion reuse the same merged backend.
+    fn merged(&mut self) -> Result<&B, EngineError> {
         self.flush()?;
         if self.merged.is_none() {
             let mut merged = self.base.clone();
-            match &self.mode {
-                ModeState::Inline {
-                    shards, poisoned, ..
-                } => {
-                    for (shard, backend) in shards.iter().enumerate() {
-                        if poisoned[shard] {
-                            return Err(EngineError::ShardPoisoned { shard });
-                        }
-                        merged.merge(backend);
-                    }
+            for (shard, handle) in self.handles.iter().enumerate() {
+                let inner = handle.cell.lock_always();
+                if inner.poisoned {
+                    return Err(EngineError::ShardPoisoned { shard });
                 }
-                ModeState::Workers { handles } => {
-                    for (shard, handle) in handles.iter().enumerate() {
-                        let inner = handle.cell.lock_always();
-                        if inner.poisoned {
-                            return Err(EngineError::ShardPoisoned { shard });
-                        }
-                        merged.merge(inner.snapshot.as_ref());
-                    }
-                }
+                merged.merge(inner.snapshot.as_ref());
             }
             self.merged = Some(merged);
         }
@@ -1470,12 +1178,14 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// first so the answer reflects every admitted arrival. This is the
     /// barrier-synced read path: it waits for every shard worker to drain
     /// and checkpoint, trading latency for completeness — the wait-free
-    /// counterpart is [`IngestEngine::query`].
+    /// counterpart is [`IngestEngine::query`]. The merged view is cached
+    /// until the next ingest, so repeated queries cost one backend lookup.
     ///
     /// # Errors
     ///
     /// [`EngineError::ShardPoisoned`] if a shard is fenced off: the engine
-    /// reports the corruption instead of answering from wrong counts.
+    /// reports the corruption instead of answering from wrong counts (a
+    /// merged view would silently under-count, so none is produced).
     pub fn query_synced(&mut self, element: &StreamElement) -> Result<f64, EngineError> {
         Ok(self.merged()?.query(element))
     }
@@ -1498,117 +1208,87 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// Flushes, merges every shard into the base and returns the final
     /// estimator, consuming the engine (worker threads are joined).
     ///
-    /// In worker mode this skips the flush barrier entirely: closing a
-    /// channel makes its worker drain the remaining queue and publish its
-    /// scratch state by move (no checkpoint clone), so the join itself is
-    /// the synchronization.
+    /// This skips the flush barrier entirely: closing a channel makes its
+    /// worker drain the remaining queue and publish its scratch state by
+    /// move (no checkpoint clone), so the join itself is the
+    /// synchronization.
     ///
     /// # Errors
     ///
     /// [`EngineError::ShardPoisoned`] if a shard's state is unrecoverable.
     pub fn finish(mut self) -> Result<B, EngineError> {
-        match &self.mode {
-            ModeState::Inline { .. } => {
-                self.flush()?;
-                let ModeState::Inline {
-                    shards, poisoned, ..
-                } = &self.mode
-                else {
-                    unreachable!("mode cannot change")
-                };
-                for (shard, backend) in shards.iter().enumerate() {
-                    if poisoned[shard] {
-                        return Err(EngineError::ShardPoisoned { shard });
-                    }
-                    self.base.merge(backend);
-                }
+        // Dispatch whatever is still buffered, then close and join.
+        self.dispatch_all()?;
+        // Close every channel before joining any thread, so all workers
+        // drain their final batches concurrently instead of serializing
+        // behind shard 0's join.
+        for handle in &self.handles {
+            handle.cell.close();
+        }
+        for handle in &mut self.handles {
+            handle.shutdown();
+        }
+        for (shard, handle) in self.handles.iter().enumerate() {
+            let mut inner = handle.cell.lock_always();
+            if inner.poisoned {
+                return Err(EngineError::ShardPoisoned { shard });
             }
-            ModeState::Workers { .. } => {
-                // Dispatch whatever is still buffered (blocking semantics:
-                // finish never sheds load), then close and join.
-                for shard in 0..self.buffers.len() {
-                    if !self.buffers[shard].is_empty() {
-                        self.dispatch(shard, true)?;
+            // A worker that died (rather than exiting cleanly) leaves
+            // unpublished work behind. Catch up here: replay the journal
+            // onto the snapshot, then apply whatever the worker never got
+            // to — each leftover batch on a trial clone, so one that still
+            // panics is quarantined without corrupting the rebuilt state.
+            // Draining the ring is sound: the worker thread was joined
+            // above, so the consumer role has passed to this thread.
+            if !inner.journal.is_empty()
+                || inner.inflight.is_some()
+                || !inner.retry.is_empty()
+                || handle.cell.has_undrained()
+            {
+                let mut state = (*inner.snapshot).clone();
+                for batch in inner.journal.drain(..) {
+                    apply_batch(&mut state, &batch);
+                }
+                let mut leftovers: Vec<QueuedBatch> = inner
+                    .inflight
+                    .take()
+                    .into_iter()
+                    .chain(inner.retry.drain(..))
+                    .collect();
+                while let Some(data) = handle.cell.pop_after_join() {
+                    leftovers.push(QueuedBatch { data, attempts: 0 });
+                }
+                for batch in leftovers {
+                    let mut trial = state.clone();
+                    let applied = catch_unwind(AssertUnwindSafe(|| {
+                        apply_batch(&mut trial, &batch.data);
+                    }));
+                    handle.cell.debit_queued_mass(batch.data.mass);
+                    match applied {
+                        Ok(()) => {
+                            state = trial;
+                            inner.counters.applied_updates += batch.data.updates.len() as u64;
+                            inner.counters.applied_mass += batch.data.mass;
+                        }
+                        Err(_) => {
+                            inner.counters.batch_failures += 1;
+                            inner.counters.quarantined_updates += batch.data.updates.len() as u64;
+                            inner.counters.quarantined_mass += batch.data.mass;
+                            fault::record(
+                                &self.fault_log,
+                                FaultEvent::BatchQuarantined {
+                                    shard,
+                                    mass: batch.data.mass,
+                                    updates: batch.data.updates.len(),
+                                },
+                            );
+                            inner.quarantined.push(batch.data);
+                        }
                     }
                 }
-                let ModeState::Workers { handles } = &mut self.mode else {
-                    unreachable!("mode cannot change")
-                };
-                // Close every channel before joining any thread, so all
-                // workers drain their final batches concurrently instead of
-                // serializing behind shard 0's join.
-                for handle in handles.iter() {
-                    handle.cell.close();
-                }
-                for handle in handles.iter_mut() {
-                    handle.shutdown();
-                }
-                for (shard, handle) in handles.iter().enumerate() {
-                    let mut inner = handle.cell.lock_always();
-                    if inner.poisoned {
-                        return Err(EngineError::ShardPoisoned { shard });
-                    }
-                    // A worker that died (rather than exiting cleanly)
-                    // leaves unpublished work behind. Catch up here: replay
-                    // the journal onto the snapshot, then apply whatever the
-                    // worker never got to — each leftover batch on a trial
-                    // clone, so one that still panics is quarantined without
-                    // corrupting the rebuilt state. Draining the ring is
-                    // sound: the worker thread was joined above, so the
-                    // consumer role has passed to this thread.
-                    if !inner.journal.is_empty()
-                        || inner.inflight.is_some()
-                        || !inner.retry.is_empty()
-                        || handle.cell.has_undrained()
-                    {
-                        let mut state = (*inner.snapshot).clone();
-                        for batch in inner.journal.drain(..) {
-                            apply_batch(&mut state, &batch);
-                        }
-                        let mut leftovers: Vec<QueuedBatch> = inner
-                            .inflight
-                            .take()
-                            .into_iter()
-                            .chain(inner.retry.drain(..))
-                            .collect();
-                        while let Some(data) = handle.cell.pop_after_join() {
-                            leftovers.push(QueuedBatch { data, attempts: 0 });
-                        }
-                        for batch in leftovers {
-                            let mut trial = state.clone();
-                            let applied = catch_unwind(AssertUnwindSafe(|| {
-                                apply_batch(&mut trial, &batch.data);
-                            }));
-                            handle.cell.debit_queued_mass(batch.data.mass);
-                            match applied {
-                                Ok(()) => {
-                                    state = trial;
-                                    inner.counters.applied_updates +=
-                                        batch.data.updates.len() as u64;
-                                    inner.counters.applied_mass += batch.data.mass;
-                                }
-                                Err(_) => {
-                                    inner.counters.batch_failures += 1;
-                                    inner.counters.quarantined_updates +=
-                                        batch.data.updates.len() as u64;
-                                    inner.counters.quarantined_mass += batch.data.mass;
-                                    fault::record(
-                                        &self.fault_log,
-                                        FaultEvent::BatchQuarantined {
-                                            shard,
-                                            mass: batch.data.mass,
-                                            updates: batch.data.updates.len(),
-                                        },
-                                    );
-                                    inner.quarantined.push(batch.data);
-                                }
-                            }
-                        }
-                        inner.snapshot = Arc::new(state);
-                    }
-                    self.base.merge(inner.snapshot.as_ref());
-                }
+                inner.snapshot = Arc::new(state);
             }
+            self.base.merge(inner.snapshot.as_ref());
         }
         Ok(self.base)
     }
@@ -1658,36 +1338,6 @@ mod tests {
             "500 distinct ids in batches of 64x4 must aggregate"
         );
         assert!(engine.fault_log().is_empty(), "healthy run records nothing");
-    }
-
-    #[test]
-    fn inline_mode_matches_worker_mode() {
-        let make = |mode| {
-            IngestEngine::new(
-                CountMinSketch::new(128, 4, 7),
-                EngineConfig::with_shards(3).batch_capacity(32).mode(mode),
-            )
-        };
-        let mut workers = make(IngestMode::Workers);
-        let mut inline = make(IngestMode::Inline);
-        let mut state = 9u64;
-        for _ in 0..5_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let id = state % 200;
-            workers.ingest(&element(id)).unwrap();
-            inline.ingest(&element(id)).unwrap();
-        }
-        for id in 0..250u64 {
-            assert_eq!(
-                workers.query_synced(&element(id)).unwrap(),
-                inline.query_synced(&element(id)).unwrap(),
-                "mode mismatch for {id}"
-            );
-        }
-        assert_eq!(inline.stats().unaccounted_mass(), 0);
-        assert_eq!(workers.stats().unaccounted_mass(), 0);
     }
 
     #[test]
@@ -1807,28 +1457,26 @@ mod tests {
 
     #[test]
     fn snapshot_query_agrees_with_synced_query_after_flush() {
-        for mode in [IngestMode::Workers, IngestMode::Inline] {
-            let mut engine = IngestEngine::new(
-                CountMinSketch::new(128, 4, 7),
-                EngineConfig::with_shards(3).batch_capacity(32).mode(mode),
-            );
-            for id in 0..2_000u64 {
-                engine.ingest(&element(id % 150)).unwrap();
-            }
-            engine.flush().unwrap();
-            for id in 0..200u64 {
-                let snapshot = engine.query(&element(id));
-                let synced = engine.query_synced(&element(id)).unwrap();
-                assert_eq!(snapshot.estimate, synced, "post-flush agreement for {id}");
-            }
-            let stamp = engine.snapshot_stamp();
-            assert_eq!(stamp.scheme_version, 0);
-            assert_eq!(stamp.epoch_per_shard.len(), 3);
-            assert_eq!(
-                stamp.mass_accounted, 2_000,
-                "a flushed stamp covers all mass"
-            );
+        let mut engine = IngestEngine::new(
+            CountMinSketch::new(128, 4, 7),
+            EngineConfig::with_shards(3).batch_capacity(32),
+        );
+        for id in 0..2_000u64 {
+            engine.ingest(&element(id % 150)).unwrap();
         }
+        engine.flush().unwrap();
+        for id in 0..200u64 {
+            let snapshot = engine.query(&element(id));
+            let synced = engine.query_synced(&element(id)).unwrap();
+            assert_eq!(snapshot.estimate, synced, "post-flush agreement for {id}");
+        }
+        let stamp = engine.snapshot_stamp();
+        assert_eq!(stamp.scheme_version, 0);
+        assert_eq!(stamp.epoch_per_shard.len(), 3);
+        assert_eq!(
+            stamp.mass_accounted, 2_000,
+            "a flushed stamp covers all mass"
+        );
     }
 
     #[test]

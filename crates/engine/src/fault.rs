@@ -19,6 +19,7 @@
 //! | `worker::apply`         | before every single update of a batch        |
 //! | `worker::before_commit` | after a batch applied, before it is recorded |
 //! | `worker::checkpoint`    | inside the snapshot-swap critical section    |
+//! | `worker::publish`       | before a checkpoint's or swap's slot publish |
 //! | `worker::swap`          | on a hot-swap request, before any mutation   |
 //!
 //! A panic at `worker::poll` or `worker::before_commit` kills the worker
@@ -31,8 +32,10 @@
 //! scheme hot-swap* with the swap request still pending — the supervisor's
 //! replacement worker rebuilds the pre-swap scratch and redoes the swap,
 //! exercising the exactly-once publish protocol of
-//! [`crate::IngestEngine::swap_backend`]. Without the feature every hook
-//! compiles to nothing.
+//! [`crate::IngestEngine::swap_backend`]; a delay at `worker::publish`
+//! holds back a checkpoint's or swap's query-slot publication, exercising
+//! that `flush` and `swap_backend` wait for it. Without the feature every
+//! hook compiles to nothing.
 //!
 //! The injector is **engine-scoped**, not process-global: every engine owns
 //! its own registry (shared with its workers), so concurrently running

@@ -150,7 +150,7 @@ pub mod snapshot;
 mod worker;
 
 pub use backend::SketchBackend;
-pub use engine::{BackpressurePolicy, EngineConfig, EngineStats, IngestEngine, IngestMode};
+pub use engine::{BackpressurePolicy, EngineConfig, EngineStats, IngestEngine};
 pub use error::EngineError;
 #[cfg(feature = "failpoints")]
 pub use fault::{FaultAction, FaultPlan};

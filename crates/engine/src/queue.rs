@@ -1,7 +1,7 @@
 //! Bounded per-shard work channels: a lock-free SPSC batch ring plus a
 //! small control mutex for the fault-tolerance protocol.
 //!
-//! Each shard of a worker-mode [`crate::IngestEngine`] owns one
+//! Each shard of an [`crate::IngestEngine`] owns one
 //! [`ShardChannel`]. The hot path — the engine (single producer) handing
 //! pre-aggregated batches to the worker (single consumer) — runs through
 //! [`SpscRing`]: a cache-line-padded single-producer/single-consumer ring
@@ -675,31 +675,35 @@ impl<B: SketchBackend> ShardChannel<B> {
     /// Replaces the shard snapshot with a freshly cloned consistent state
     /// (carrying `mass` applied count mass) and clears the journal it
     /// covers; acks `epoch` if this checkpoint completes a sync barrier.
-    /// `at_checkpoint` runs inside the critical section (it hosts the
-    /// `worker::checkpoint` failpoint — a panic there poisons the shard,
-    /// which is exactly the scenario the failpoint exists to exercise).
+    /// `failpoint` is called with the `worker::checkpoint` and
+    /// `worker::publish` failpoint names, both inside the critical section
+    /// (a panic at either poisons the shard, which is exactly the scenario
+    /// they exist to exercise).
     ///
-    /// The same `Arc` is then published to the shard's query-snapshot slot
-    /// — *outside* the control section, so a slow failpoint or a contended
-    /// control lock can never delay a wait-free reader, and a publication
+    /// The same `Arc` is published to the shard's query-snapshot slot
+    /// *before* the control lock drops, so by the time a barrier observes
+    /// the ack, the wait-free path already reflects it. Readers never take
+    /// the control lock, and the slot lock wraps one `Arc` store, so a
+    /// reader still never waits on the control section, and a publication
     /// costs one `Arc` clone rather than a state copy.
     pub fn checkpoint(
         &self,
         snapshot: Arc<B>,
         mass: u64,
         epoch: Option<u64>,
-        at_checkpoint: impl FnOnce(),
+        failpoint: impl Fn(&'static str),
     ) {
         let mut inner = self.lock_always();
-        at_checkpoint();
+        failpoint("worker::checkpoint");
         inner.snapshot = Arc::clone(&snapshot);
         inner.snapshot_mass = mass;
         inner.journal.clear();
         if let Some(epoch) = epoch {
             inner.acked_epoch = epoch;
         }
-        drop(inner);
+        failpoint("worker::publish");
         self.slot.publish(snapshot, mass);
+        drop(inner);
         self.progress.notify_all();
     }
 
@@ -709,25 +713,35 @@ impl<B: SketchBackend> ShardChannel<B> {
     /// (carrying `retired_mass`) is parked for the engine to collect, and
     /// the request is cleared. Until this commits, recovery still
     /// reconstructs the *old* scratch — so the swap is atomic with respect
-    /// to worker death. The fresh and retired snapshots are then published
-    /// to the query-snapshot slot under the new `version`.
-    pub fn complete_swap(&self, version: u64, fresh: Arc<B>, retired: Arc<B>, retired_mass: u64) {
+    /// to worker death. The fresh and retired snapshots are published to
+    /// the query-snapshot slot under the new `version` in the same critical
+    /// section (after `failpoint("worker::publish")`), so the engine never
+    /// sees the request cleared before readers can see the new version.
+    pub fn complete_swap(
+        &self,
+        version: u64,
+        fresh: Arc<B>,
+        retired: Arc<B>,
+        retired_mass: u64,
+        failpoint: impl Fn(&'static str),
+    ) {
         let mut inner = self.lock_always();
         inner.snapshot = Arc::clone(&fresh);
         inner.snapshot_mass = 0;
         inner.journal.clear();
         inner.retired = Some(Arc::clone(&retired));
         inner.swap_request = None;
-        drop(inner);
+        failpoint("worker::publish");
         self.slot
             .publish_swap(version, fresh, retired_mass, retired);
+        drop(inner);
         self.progress.notify_all();
     }
 
     /// Publishes the worker's final scratch state on clean shutdown: a
     /// checkpoint by *move* (no clone — the worker is done with it), which
     /// also acks any pending sync barrier and refreshes the query-snapshot
-    /// slot one last time.
+    /// slot one last time, before the ack becomes visible.
     pub fn publish_exit(&self, state: B, mass: u64) {
         let published = Arc::new(state);
         let mut inner = self.lock_always();
@@ -735,8 +749,8 @@ impl<B: SketchBackend> ShardChannel<B> {
         inner.snapshot_mass = mass;
         inner.journal.clear();
         inner.acked_epoch = inner.sync_epoch;
-        drop(inner);
         self.slot.publish(published, mass);
+        drop(inner);
         self.progress.notify_all();
     }
 

@@ -354,7 +354,6 @@ impl Retrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::IngestMode;
     use opthash::{OptHashBuilder, SolverKind};
     use opthash_stream::Stream;
 
@@ -370,10 +369,11 @@ mod tests {
             .train(&StreamPrefix::from_stream(Stream::from_arrivals(arrivals)))
     }
 
-    fn drive(mode: IngestMode) {
+    #[test]
+    fn retrains_and_swaps_in_worker_mode() {
         let mut retrainer = Retrainer::new(
             initial_scheme(),
-            EngineConfig::with_shards(2).mode(mode),
+            EngineConfig::with_shards(2),
             RetrainConfig {
                 window: 512,
                 retrain_interval: 256,
@@ -407,16 +407,6 @@ mod tests {
         assert_eq!(retired.len() as u64, retrainer.retrain_stats().swaps);
         let final_est = retrainer.finish().unwrap();
         assert!(final_est.stored_elements() > 0);
-    }
-
-    #[test]
-    fn retrains_and_swaps_in_worker_mode() {
-        drive(IngestMode::Workers);
-    }
-
-    #[test]
-    fn retrains_and_swaps_in_inline_mode() {
-        drive(IngestMode::Inline);
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! immutable `Arc` snapshot of the shard's accumulated delta, tagged with a
 //! monotonically increasing **epoch** and the scheme version it was built
 //! under. Workers publish into their slot at every checkpoint, at every
-//! completed scheme hot-swap, and on clean exit — always *outside* the
-//! shard's control critical section, and the slot lock itself wraps nothing
-//! but an `Arc` store. A reader therefore never waits behind batch
-//! application, a flush barrier, or a checkpoint clone: the worst case is
-//! the nanoseconds another thread spends swapping two pointers.
+//! completed scheme hot-swap, and on clean exit — inside the shard's
+//! control critical section, before the checkpoint or swap is acknowledged,
+//! so a returned [`crate::IngestEngine::flush`] or
+//! [`crate::IngestEngine::swap_backend`] is already visible here. Readers
+//! never take that control lock, and the slot lock itself wraps nothing but
+//! an `Arc` store. A reader therefore never waits behind batch application,
+//! a flush barrier, or a checkpoint clone: the worst case is the
+//! nanoseconds another thread spends swapping two pointers.
 //!
 //! [`SnapshotReader`] assembles the latest published snapshot set into a
 //! merged estimator view (cached until any epoch advances) and answers

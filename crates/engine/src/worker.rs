@@ -1,6 +1,6 @@
 //! Persistent, panic-isolated shard workers.
 //!
-//! Each shard of a worker-mode [`crate::IngestEngine`] runs one thread that
+//! Each shard of an [`crate::IngestEngine`] runs one thread that
 //! drains the shard's [`ShardChannel`] for as long as the engine lives. The
 //! worker owns a private *scratch* backend (always equal to the shard's
 //! checkpointed snapshot plus the journaled batches replayed on top) and
@@ -130,6 +130,7 @@ fn run_worker<B: SketchBackend>(
         return; // shard poisoned: nothing a worker can safely do
     };
     let mut since_checkpoint = 0u32;
+    let failpoint = |name| faults.hit_at(name, Some(shard));
     loop {
         faults.hit_at("worker::poll", Some(shard));
         match cell.next_event() {
@@ -153,15 +154,14 @@ fn run_worker<B: SketchBackend>(
                     Arc::new(scratch.clone()),
                     Arc::new(retired),
                     scratch_mass,
+                    failpoint,
                 );
                 scratch_mass = 0;
                 since_checkpoint = 0;
             }
             WorkerEvent::Sync(epoch) => {
                 let snapshot = Arc::new(scratch.clone());
-                cell.checkpoint(snapshot, scratch_mass, Some(epoch), || {
-                    faults.hit_at("worker::checkpoint", Some(shard));
-                });
+                cell.checkpoint(snapshot, scratch_mass, Some(epoch), failpoint);
                 since_checkpoint = 0;
             }
             WorkerEvent::Batch(batch) => {
@@ -182,9 +182,7 @@ fn run_worker<B: SketchBackend>(
                         since_checkpoint += 1;
                         if since_checkpoint >= config.checkpoint_interval {
                             let snapshot = Arc::new(scratch.clone());
-                            cell.checkpoint(snapshot, scratch_mass, None, || {
-                                faults.hit_at("worker::checkpoint", Some(shard));
-                            });
+                            cell.checkpoint(snapshot, scratch_mass, None, failpoint);
                             since_checkpoint = 0;
                         }
                     }

@@ -9,8 +9,8 @@
 //! step available, and applying the first rung that fits:
 //!
 //! 1. **Demote** a sharded tenant to a bare estimator — reclaims the
-//!    per-shard counter replicas (`shards + 1` copies down to one) without
-//!    losing a single count.
+//!    engine's counter replicas (`2 × shards + 3` copies down to one) and
+//!    its worker threads without losing a single count.
 //! 2. **Collapse** a promoted tenant — folds its full-width live sketch
 //!    down onto its narrow frozen history and merges the two, reclaiming
 //!    the full-width grid.
@@ -275,6 +275,7 @@ fn promote(reg: &mut SketchRegistry, budget: u64, outcome: &mut GovernorOutcome)
 #[cfg(test)]
 mod tests {
     use crate::{BackendSpec, RegistryConfig, SketchRegistry};
+    use opthash_engine::SketchBackend;
     use opthash_stream::{SpaceBudget, StreamElement};
 
     fn element(id: u64) -> StreamElement {
@@ -420,7 +421,7 @@ mod tests {
             width: 256,
             depth: 4,
         };
-        // 2 shards => sharded tenant costs 3 grids. Budget: 2 grids.
+        // 2 shards => sharded tenant costs 2 × 2 + 3 = 7 grids. Budget: 2.
         let budget = SpaceBudget::from_bytes(grid_bytes(256, 4) * 2);
         let mut registry = SketchRegistry::new(
             RegistryConfig::default()
@@ -445,14 +446,30 @@ mod tests {
         };
         let mut registry = SketchRegistry::new(
             RegistryConfig::default()
-                .budget(SpaceBudget::from_bytes(grid_bytes(128, 4) * 5))
+                .budget(SpaceBudget::from_bytes(grid_bytes(128, 4) * 11))
                 .govern_interval(u64::MAX),
         );
         registry.create_sharded("t", spec, 4).unwrap();
+        let mut reference = spec.build(registry.tenants["t"].seed);
         for i in 0..500u64 {
             registry.ingest("t", &element(i % 40)).unwrap();
+            reference.ingest(&element(i % 40), 1);
         }
-        // 5 accounted grids fit exactly; an extra tenant forces the demote.
+        let assert_exact = |registry: &mut SketchRegistry, when: &str| {
+            for i in 0..48u64 {
+                let estimate = registry.query("t", &element(i)).unwrap();
+                let expected = reference.query(&element(i));
+                assert_eq!(
+                    estimate.to_bits(),
+                    expected.to_bits(),
+                    "{when} demotion: id {i} diverged from the sequential sketch"
+                );
+            }
+        };
+        assert_exact(&mut registry, "before");
+        assert_eq!(registry.stats().demotions, 0, "4 shards fit 11 grids");
+        // 2 × 4 + 3 = 11 accounted grids fit exactly; an extra tenant
+        // forces the demote.
         registry
             .create(
                 "pusher",
@@ -463,10 +480,8 @@ mod tests {
             )
             .unwrap();
         assert!(registry.stats().demotions >= 1);
-        for i in 0..40u64 {
-            let estimate = registry.query("t", &element(i)).unwrap();
-            assert!(estimate >= (500 / 40) as f64);
-        }
+        assert!(!registry.tenant_report("t").unwrap().sharded);
+        assert_exact(&mut registry, "after");
         assert_eq!(registry.stats().unaccounted_mass(), 0);
     }
 

@@ -5,7 +5,7 @@
 //!
 //! | Command | Response | Meaning |
 //! |---|---|---|
-//! | `CREATE <tenant> <spec> [sharded:<n>]` | `OK t<id>` | Register a tenant (spec grammar: [`BackendSpec`]) |
+//! | `CREATE <tenant> <spec> [sharded:<n>]` | `OK t<id>` | Register a tenant (spec grammar: [`BackendSpec`]); `1 ≤ n ≤` [`MAX_SHARDS`] |
 //! | `ADD <tenant> <id> [<weight>]` | `OK` | Ingest `weight` (default 1) arrivals of element `<id>` |
 //! | `QUERY <tenant> <id>` | `OK <estimate>` | Estimated frequency of element `<id>` |
 //! | `STATS` | `OK k=v ...` | Registry-wide counters |
@@ -19,6 +19,12 @@
 
 use crate::registry::{BackendSpec, RegistryError, SketchRegistry};
 use opthash_stream::StreamElement;
+
+/// Largest shard count a `CREATE … sharded:<n>` line may ask for. Every
+/// shard costs a worker thread and a pre-aggregation buffer (256 KiB at the
+/// default batch capacity), so one unbounded line could demand gigabytes
+/// and thousands of threads; larger requests are answered `ERR`.
+pub const MAX_SHARDS: usize = 64;
 
 /// A parsed line-protocol command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,11 +94,14 @@ impl Command {
                 let shards = match fields.next() {
                     None => None,
                     Some(opt) => match opt.strip_prefix("sharded:") {
-                        Some(n) => {
-                            Some(n.parse::<usize>().ok().filter(|&n| n > 0).ok_or_else(|| {
-                                "sharded:<n> expects a positive integer".to_owned()
-                            })?)
-                        }
+                        Some(n) => Some(
+                            n.parse::<usize>()
+                                .ok()
+                                .filter(|n| (1..=MAX_SHARDS).contains(n))
+                                .ok_or_else(|| {
+                                    format!("sharded:<n> expects an integer in 1..={MAX_SHARDS}")
+                                })?,
+                        ),
                         None => return Err(format!("unknown CREATE option '{opt}'")),
                     },
                 };
@@ -322,6 +331,14 @@ mod tests {
                 tenant: "flows".into()
             }
         );
+        assert_eq!(
+            Command::parse("CREATE big count-min sharded:64").unwrap(),
+            Command::Create {
+                tenant: "big".into(),
+                spec: BackendSpec::parse("count-min").unwrap(),
+                shards: Some(MAX_SHARDS),
+            }
+        );
         assert_eq!(Command::parse("PING").unwrap(), Command::Ping);
         assert_eq!(Command::parse("quit").unwrap(), Command::Quit);
 
@@ -332,6 +349,8 @@ mod tests {
             "CREATE t",
             "CREATE t bloom:9",
             "CREATE t count-min sharded:0",
+            "CREATE t count-min sharded:65",
+            "CREATE t count-min:64x1 sharded:100000",
             "CREATE t count-min shards:4",
             "ADD t",
             "ADD t notanumber",

@@ -2,7 +2,7 @@
 //! thousands of named estimators under one global memory budget.
 
 use crate::governor::GovernorOutcome;
-use opthash_engine::{EngineConfig, EngineError, IngestEngine, IngestMode, SketchBackend};
+use opthash_engine::{EngineConfig, EngineError, IngestEngine, SketchBackend};
 use opthash_sketch::{CountMinSketch, CountSketch, MisraGries};
 use opthash_stream::{SpaceBudget, SpaceReport, StreamElement};
 use std::collections::HashMap;
@@ -405,9 +405,8 @@ pub(crate) enum TenantState {
     /// A bare estimator updated in place — the default, and the only
     /// representation cheap enough for thousands of cold tenants.
     Direct(TenantSketch),
-    /// A sharded [`IngestEngine`] (flush-time mode: no persistent threads,
-    /// so even many sharded tenants cost no idle resources) for tenants hot
-    /// enough to need parallel batch application.
+    /// A sharded [`IngestEngine`] for tenants hot enough to need parallel
+    /// batch application: one worker thread per shard, parked when idle.
     Sharded(Box<IngestEngine<TenantSketch>>),
     /// Transient placeholder while a governor step rebuilds the state;
     /// never observable through the public API.
@@ -479,20 +478,13 @@ impl Tenant {
             }
     }
 
-    /// Itemized accounted memory: the live estimator (replicated
-    /// `shards + 1`-fold for sharded tenants: base copy plus one fork per
-    /// shard) plus the frozen history, if any.
+    /// Itemized accounted memory: the live estimator (for sharded tenants,
+    /// every copy the engine keeps resident — see
+    /// [`IngestEngine::space_report`]) plus the frozen history, if any.
     pub(crate) fn space_report(&self) -> SpaceReport {
         let mut report = match &self.state {
             TenantState::Direct(sketch) => sketch.space_report(),
-            TenantState::Sharded(engine) => {
-                let per_copy = engine.space_report();
-                let mut scaled = SpaceReport::new();
-                for _ in 0..engine.config().shards + 1 {
-                    scaled = scaled.saturating_add(&per_copy);
-                }
-                scaled
-            }
+            TenantState::Sharded(engine) => engine.space_report(),
             TenantState::Retired => SpaceReport::new(),
         };
         if let Some(frozen) = &self.frozen {
@@ -720,10 +712,12 @@ impl SketchRegistry {
         self.create_tenant(name, spec, None)
     }
 
-    /// Registers a new tenant driven through a sharded (flush-time)
-    /// [`IngestEngine`] with `shards` shards — for the handful of tenants
-    /// hot enough to need parallel batch application. Costs `shards + 1`
-    /// copies of the estimator's footprint against the budget.
+    /// Registers a new tenant driven through a sharded [`IngestEngine`]
+    /// with `shards` shards — for the handful of tenants hot enough to need
+    /// parallel batch application. Each shard runs a worker thread (parked
+    /// when idle), and the tenant is charged the engine's resident
+    /// footprint, `2 × shards + 3` copies of the estimator, against the
+    /// budget.
     ///
     /// # Errors
     ///
@@ -763,7 +757,7 @@ impl SketchRegistry {
             None => TenantState::Direct(sketch),
             Some(shards) => TenantState::Sharded(Box::new(IngestEngine::new(
                 sketch,
-                EngineConfig::with_shards(shards).mode(IngestMode::Inline),
+                EngineConfig::with_shards(shards),
             ))),
         };
         let mut tenant = Tenant {
@@ -1088,23 +1082,43 @@ mod tests {
         };
         registry.create("direct", spec).unwrap();
         registry.create_sharded("sharded", spec, 4).unwrap();
+        // Tenants get distinct seeds, so each is checked against its own
+        // sketch built from that seed and fed the stream sequentially.
+        let mut references: Vec<(&str, TenantSketch)> = ["direct", "sharded"]
+            .into_iter()
+            .map(|name| (name, spec.build(registry.tenants[name].seed)))
+            .collect();
         let mut state = 3u64;
         for _ in 0..5_000 {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             let e = element(state % 300);
-            registry.ingest("direct", &e).unwrap();
-            registry.ingest("sharded", &e).unwrap();
+            for (name, reference) in &mut references {
+                registry.ingest(name, &e).unwrap();
+                SketchBackend::ingest(reference, &e, 1);
+            }
         }
-        // Same seed-derived hash functions? No — tenants get distinct seeds,
-        // so compare each against its own truth-by-construction property
-        // instead: identical mass and never-undercount behaviour.
+        for id in 0..320u64 {
+            for (name, reference) in &references {
+                let answer = registry.query(name, &element(id)).unwrap();
+                let expected = SketchBackend::query(reference, &element(id));
+                assert_eq!(
+                    answer.to_bits(),
+                    expected.to_bits(),
+                    "{name} diverged from its sequential reference at {id}"
+                );
+            }
+        }
         let direct = registry.tenant_report("direct").unwrap();
         let sharded = registry.tenant_report("sharded").unwrap();
         assert_eq!(direct.mass, sharded.mass);
         assert!(sharded.sharded && !direct.sharded);
-        assert!(sharded.bytes > direct.bytes, "replication is accounted");
+        assert!(
+            sharded.bytes >= (2 * 4 + 3) * spec.grid_bytes(),
+            "every resident copy is charged: {} bytes",
+            sharded.bytes
+        );
         assert_eq!(registry.stats().unaccounted_mass(), 0);
     }
 

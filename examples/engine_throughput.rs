@@ -1,12 +1,13 @@
 //! Engine performance harness: pushes a 1M-arrival Zipf stream through a
 //! Count-Min backend three ways — the plain single-threaded update loop,
-//! the flush-time (`IngestMode::Inline`) engine, and the always-on worker
-//! (`IngestMode::Workers`) engine — verifies the three agree exactly, and
-//! records the measurements in `BENCH_engine.json` (ingest throughput,
-//! p50/p99 query latency, aggregation factor) so the repository keeps a
-//! perf trajectory across PRs.
+//! the worker engine with one shard, and the worker engine with `--shards`
+//! shards — verifies the three agree exactly, and records the measurements
+//! in `BENCH_engine.json` (ingest throughput, p50/p99 query latency,
+//! aggregation factor) so the repository keeps a perf trajectory across
+//! PRs. The one-shard row isolates what pre-aggregation wins on its own;
+//! the gap from it to the sharded row is what parallelism adds.
 //!
-//! A final *saturation* phase drives sustained worker-mode ingest while a
+//! A final *saturation* phase drives sustained ingest while a
 //! separate reader thread issues wait-free snapshot queries the whole time,
 //! recording the snapshot-query latency distribution under full ingest
 //! pressure — the number the epoch-stamped read path exists to bound.
@@ -164,7 +165,7 @@ fn query_percentiles(
 
 fn engine_measurement(
     name: &'static str,
-    mode: IngestMode,
+    shards: usize,
     args: &Args,
     elements: &[StreamElement],
     probes: &[StreamElement],
@@ -177,9 +178,7 @@ fn engine_measurement(
         let start = Instant::now();
         let mut trial = IngestEngine::new(
             CountMinSketch::new(8_192, 4, 1),
-            EngineConfig::with_shards(args.shards)
-                .batch_capacity(BATCH)
-                .mode(mode),
+            EngineConfig::with_shards(shards).batch_capacity(BATCH),
         );
         trial.ingest_batch(elements).expect("ingest");
         trial.flush().expect("flush");
@@ -231,7 +230,7 @@ struct Saturation {
     epoch_advances: u64,
 }
 
-/// Drives worker-mode ingest flat-out for a fixed window while one reader
+/// Drives ingest flat-out for a fixed window while one reader
 /// thread issues wait-free snapshot queries back-to-back. The reader records
 /// per-query latency and counts epoch advances (proof it observed the
 /// workers publishing, not one frozen snapshot).
@@ -242,9 +241,7 @@ fn saturation_measurement(
 ) -> Saturation {
     let mut engine = IngestEngine::new(
         CountMinSketch::new(8_192, 4, 1),
-        EngineConfig::with_shards(args.shards)
-            .batch_capacity(SATURATION_BATCH)
-            .mode(IngestMode::Workers),
+        EngineConfig::with_shards(args.shards).batch_capacity(SATURATION_BATCH),
     );
     let reader = engine.snapshot_reader();
     let stop = Arc::new(AtomicBool::new(false));
@@ -353,10 +350,10 @@ fn main() {
         aggregation_factor: 1.0,
     }];
 
-    // --- the flush-time engine vs the always-on worker engine -------------
+    // --- the engine on one shard (aggregation alone) and on all shards ---
     measurements.push(engine_measurement(
-        "inline_flush_engine",
-        IngestMode::Inline,
+        "worker_engine_1_shard",
+        1,
         &args,
         &elements,
         &probes,
@@ -365,7 +362,7 @@ fn main() {
     ));
     measurements.push(engine_measurement(
         "worker_engine",
-        IngestMode::Workers,
+        args.shards,
         &args,
         &elements,
         &probes,

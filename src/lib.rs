@@ -39,7 +39,7 @@ pub mod prelude {
     pub use opthash_datagen::querylog::{QueryLogConfig, QueryLogDataset};
     pub use opthash_engine::{
         BackpressurePolicy, EngineConfig, EngineError, EngineStats, EpochStamp, FaultEvent,
-        FaultInjector, FaultLog, IngestEngine, IngestMode, RetrainConfig, RetrainStats, Retrainer,
+        FaultInjector, FaultLog, IngestEngine, RetrainConfig, RetrainStats, Retrainer,
         SketchBackend, SnapshotEstimate, SnapshotReader, TrainedScheme,
     };
     #[cfg(feature = "failpoints")]

@@ -39,37 +39,33 @@ where
     for arrival in stream.iter() {
         sequential.ingest(arrival, 1);
     }
-    for mode in [IngestMode::Workers, IngestMode::Inline] {
-        for shards in [1usize, 2, 4, 8] {
-            let mut engine = IngestEngine::new(
-                backend.clone(),
-                EngineConfig::with_shards(shards)
-                    .batch_capacity(512)
-                    .mode(mode),
-            );
-            engine.ingest_stream(stream).unwrap();
-            for probe in probes(universe) {
-                let sharded = engine.query_synced(&probe).unwrap();
-                let expected = sequential.query(&probe);
-                assert!(
-                    (sharded - expected).abs() < 1e-12,
-                    "{label} diverged at {shards} shards ({mode:?}) for {}: \
-                     sharded {sharded} vs sequential {expected}",
-                    probe.id
-                );
-            }
-            let stats = engine.stats();
+    for shards in [1usize, 2, 4, 8] {
+        let mut engine = IngestEngine::new(
+            backend.clone(),
+            EngineConfig::with_shards(shards).batch_capacity(512),
+        );
+        engine.ingest_stream(stream).unwrap();
+        for probe in probes(universe) {
+            let sharded = engine.query_synced(&probe).unwrap();
+            let expected = sequential.query(&probe);
             assert!(
-                stats.aggregation_factor() >= 1.0,
-                "{label}: aggregation factor must never drop below 1"
-            );
-            assert!(stats.conserved(), "{label}: intake ledger must balance");
-            assert_eq!(
-                stats.unaccounted_mass(),
-                0,
-                "{label}: every admitted unit of mass must be locatable"
+                (sharded - expected).abs() < 1e-12,
+                "{label} diverged at {shards} shards for {}: \
+                 sharded {sharded} vs sequential {expected}",
+                probe.id
             );
         }
+        let stats = engine.stats();
+        assert!(
+            stats.aggregation_factor() >= 1.0,
+            "{label}: aggregation factor must never drop below 1"
+        );
+        assert!(stats.conserved(), "{label}: intake ledger must balance");
+        assert_eq!(
+            stats.unaccounted_mass(),
+            0,
+            "{label}: every admitted unit of mass must be locatable"
+        );
     }
 }
 
@@ -89,36 +85,33 @@ fn ingest_batch_accepts_short_slices() {
         BackpressurePolicy::Reject,
         BackpressurePolicy::DegradeAggregate,
     ] {
-        for mode in [IngestMode::Workers, IngestMode::Inline] {
-            for len in 0..=17usize {
-                let arrivals: Vec<StreamElement> = (0..len as u64).map(element).collect();
-                let mut sequential = CountMinSketch::new(64, 3, 11);
-                for arrival in &arrivals {
-                    sequential.ingest(arrival, 1);
-                }
-                let mut engine = IngestEngine::new(
-                    CountMinSketch::new(64, 3, 11),
-                    EngineConfig::with_shards(4)
-                        .batch_capacity(8)
-                        .mode(mode)
-                        .backpressure(policy),
-                );
-                engine
-                    .ingest_batch(&arrivals)
-                    .unwrap_or_else(|err| panic!("len {len} ({mode:?}, {policy:?}): {err}"));
-                for probe in (0..len as u64 + 4).map(element) {
-                    let got = engine.query_synced(&probe).unwrap();
-                    let expected = SketchBackend::query(&sequential, &probe);
-                    assert!(
-                        (got - expected).abs() < 1e-12,
-                        "len {len} ({mode:?}, {policy:?}) diverged for {}: {got} vs {expected}",
-                        probe.id
-                    );
-                }
-                let stats = engine.stats();
-                assert!(stats.conserved(), "len {len}: intake ledger must balance");
-                assert_eq!(stats.unaccounted_mass(), 0, "len {len}: mass unaccounted");
+        for len in 0..=17usize {
+            let arrivals: Vec<StreamElement> = (0..len as u64).map(element).collect();
+            let mut sequential = CountMinSketch::new(64, 3, 11);
+            for arrival in &arrivals {
+                sequential.ingest(arrival, 1);
             }
+            let mut engine = IngestEngine::new(
+                CountMinSketch::new(64, 3, 11),
+                EngineConfig::with_shards(4)
+                    .batch_capacity(8)
+                    .backpressure(policy),
+            );
+            engine
+                .ingest_batch(&arrivals)
+                .unwrap_or_else(|err| panic!("len {len} ({policy:?}): {err}"));
+            for probe in (0..len as u64 + 4).map(element) {
+                let got = engine.query_synced(&probe).unwrap();
+                let expected = SketchBackend::query(&sequential, &probe);
+                assert!(
+                    (got - expected).abs() < 1e-12,
+                    "len {len} ({policy:?}) diverged for {}: {got} vs {expected}",
+                    probe.id
+                );
+            }
+            let stats = engine.stats();
+            assert!(stats.conserved(), "len {len}: intake ledger must balance");
+            assert_eq!(stats.unaccounted_mass(), 0, "len {len}: mass unaccounted");
         }
     }
 }

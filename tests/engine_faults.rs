@@ -315,7 +315,11 @@ fn error_action_surfaces_typed_error() {
 // ---------------------------------------------------------------------------
 
 /// Overload fixture: one shard whose worker sleeps on every batch, so the
-/// offered rate exceeds the drain rate by construction.
+/// offered rate exceeds the drain rate by construction. The overload tests
+/// feed it [`mixed_arrivals`]: its uniform tail keeps the 64-id batches
+/// filling and dispatching throughout the stream, while a head-only stream
+/// collapses into so few batches that the producer barely outpaces the
+/// drain.
 fn overloaded_engine(policy: BackpressurePolicy) -> IngestEngine<CountMinSketch> {
     let engine = IngestEngine::new(
         CountMinSketch::new(512, 4, 9),
@@ -334,7 +338,7 @@ fn overloaded_engine(policy: BackpressurePolicy) -> IngestEngine<CountMinSketch>
 /// result equals the sequential reference and nothing is rejected.
 #[test]
 fn block_policy_loses_nothing_under_overload() {
-    let ids = arrivals(20_000, 3_000, 21);
+    let ids = mixed_arrivals(20_000, 3_000, 21);
     let reference = sequential_reference(&ids);
     let mut engine = overloaded_engine(BackpressurePolicy::Block);
     for &id in &ids {
@@ -355,7 +359,7 @@ fn block_policy_loses_nothing_under_overload() {
 /// reproduce the sequential reference.
 #[test]
 fn reject_policy_accounts_every_rejection_under_overload() {
-    let ids = arrivals(20_000, 3_000, 22);
+    let ids = mixed_arrivals(20_000, 3_000, 22);
     let mut engine = overloaded_engine(BackpressurePolicy::Reject);
     let mut admitted = Vec::new();
     let mut rejections = 0u64;
@@ -392,7 +396,7 @@ fn reject_policy_accounts_every_rejection_under_overload() {
 /// result is exactly the sequential one.
 #[test]
 fn degrade_policy_preserves_total_mass_under_overload() {
-    let ids = arrivals(20_000, 3_000, 23);
+    let ids = mixed_arrivals(20_000, 3_000, 23);
     let reference = sequential_reference(&ids);
     let mut engine = overloaded_engine(BackpressurePolicy::DegradeAggregate);
     for &id in &ids {

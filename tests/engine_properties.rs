@@ -160,23 +160,21 @@ proptest! {
         }
     }
 
-    /// The engine gives identical answers regardless of shard count, batch
-    /// capacity, and ingest mode, for arbitrary update sequences.
+    /// The engine gives identical answers regardless of shard count and
+    /// batch capacity, for arbitrary update sequences.
     #[test]
     fn engine_is_invariant_to_shard_count_and_batching(
         ups in weighted_updates(400, 300),
         shards in 1usize..6,
         batch in 1usize..64,
-        inline in 0usize..2,
     ) {
         let backend = CountMinSketch::new(128, 4, 11);
         let mut sequential = backend.clone();
         apply(&mut sequential, &ups);
 
-        let mode = if inline == 1 { IngestMode::Inline } else { IngestMode::Workers };
         let mut engine = IngestEngine::new(
             backend,
-            EngineConfig::with_shards(shards).batch_capacity(batch).mode(mode),
+            EngineConfig::with_shards(shards).batch_capacity(batch),
         );
         for &(id, count) in &ups {
             engine.ingest_weighted(&StreamElement::without_features(id), count).unwrap();
@@ -223,9 +221,9 @@ proptest! {
     }
 
     /// A scheme hot-swap ([`IngestEngine::swap_backend`]) must conserve
-    /// mass under **every** backpressure policy and ingest mode, for
-    /// arbitrary interleavings of ingest, swap, and flush: the ledger
-    /// balances and zero admitted mass is unaccounted after each swap.
+    /// mass under **every** backpressure policy, for arbitrary
+    /// interleavings of ingest, swap, and flush: the ledger balances and
+    /// zero admitted mass is unaccounted after each swap.
     #[test]
     fn hot_swap_conserves_mass_under_every_policy(
         ups in zipfish_updates(300),
@@ -233,22 +231,19 @@ proptest! {
         batch in 1usize..16,
         policy_pick in 0usize..3,
         swap_gap in 7usize..60,
-        inline in 0usize..2,
     ) {
         let policy = [
             BackpressurePolicy::Block,
             BackpressurePolicy::Reject,
             BackpressurePolicy::DegradeAggregate,
         ][policy_pick];
-        let mode = if inline == 1 { IngestMode::Inline } else { IngestMode::Workers };
         let base = CountMinSketch::new(128, 4, 11);
         let mut engine = IngestEngine::new(
             base.clone(),
             EngineConfig::with_shards(shards)
                 .batch_capacity(batch)
                 .queue_capacity(2)
-                .backpressure(policy)
-                .mode(mode),
+                .backpressure(policy),
         );
         let mut swaps = 0u64;
         for (i, &(id, count)) in ups.iter().enumerate() {
@@ -287,13 +282,11 @@ proptest! {
         shards in 1usize..5,
         batch in 1usize..16,
         swap_gap in 11usize..80,
-        inline in 0usize..2,
     ) {
-        let mode = if inline == 1 { IngestMode::Inline } else { IngestMode::Workers };
         let base = CountMinSketch::new(128, 4, 11);
         let mut engine = IngestEngine::new(
             base.clone(),
-            EngineConfig::with_shards(shards).batch_capacity(batch).mode(mode),
+            EngineConfig::with_shards(shards).batch_capacity(batch),
         );
         // The "ledger": admitted updates, segmented at each swap point.
         let mut segments: Vec<Vec<(u64, u64)>> = vec![Vec::new()];
@@ -336,7 +329,7 @@ proptest! {
 
     /// Wait-free snapshot reads stay coherent through **arbitrary
     /// interleavings** of ingest, hot-swap, flush, and snapshot queries,
-    /// under every backpressure policy and ingest mode:
+    /// under every backpressure policy:
     ///
     /// * between operations the stamp's scheme version always equals the
     ///   engine's — a snapshot never observes a torn mix of schemes;
@@ -357,22 +350,19 @@ proptest! {
         policy_pick in 0usize..3,
         swap_gap in 9usize..50,
         flush_gap in 5usize..23,
-        inline in 0usize..2,
     ) {
         let policy = [
             BackpressurePolicy::Block,
             BackpressurePolicy::Reject,
             BackpressurePolicy::DegradeAggregate,
         ][policy_pick];
-        let mode = if inline == 1 { IngestMode::Inline } else { IngestMode::Workers };
         let base = CountMinSketch::new(128, 4, 11);
         let mut engine = IngestEngine::new(
             base.clone(),
             EngineConfig::with_shards(shards)
                 .batch_capacity(batch)
                 .queue_capacity(2)
-                .backpressure(policy)
-                .mode(mode),
+                .backpressure(policy),
         );
         let reader = engine.snapshot_reader();
         let probes: [u64; 5] = [0, 1, 7, 13, 101];

@@ -128,10 +128,11 @@ fn retraining_engine_tracks_drift_better_than_static_schemes() {
     retrainer.finish().expect("clean finish");
 }
 
-/// Bit-safety of a mid-stream swap, per ingest mode: the retired backend is
-/// exactly the sequential pre-swap replay, and post-swap queries are exactly
-/// the fresh scheme plus the post-swap arrivals.
-fn check_swap_is_bit_safe(mode: IngestMode) {
+/// Bit-safety of a mid-stream swap: the retired backend is exactly the
+/// sequential pre-swap replay, and post-swap queries are exactly the fresh
+/// scheme plus the post-swap arrivals.
+#[test]
+fn hot_swap_mid_stream_is_bit_safe_in_worker_mode() {
     let phase1: Vec<StreamElement> = (0..2_000u64)
         .map(|i| StreamElement::without_features(i % 50))
         .collect();
@@ -149,7 +150,7 @@ fn check_swap_is_bit_safe(mode: IngestMode) {
     let scheme_a = train(&phase1);
     let scheme_b = train(&phase2);
 
-    let mut engine = IngestEngine::new(scheme_a.clone(), EngineConfig::with_shards(3).mode(mode));
+    let mut engine = IngestEngine::new(scheme_a.clone(), EngineConfig::with_shards(3));
     for element in &phase1 {
         engine.ingest(element).expect("phase-1 ingest");
     }
@@ -172,7 +173,7 @@ fn check_swap_is_bit_safe(mode: IngestMode) {
         assert_eq!(
             SketchBackend::query(&retired, &e),
             SketchBackend::query(&reference_a, &e),
-            "retired scheme diverged from sequential replay at id {id} ({mode:?})"
+            "retired scheme diverged from sequential replay at id {id}"
         );
     }
     assert_eq!(before, SketchBackend::query(&reference_a, &probe));
@@ -191,21 +192,11 @@ fn check_swap_is_bit_safe(mode: IngestMode) {
         assert_eq!(
             engine.query_synced(&e).expect("query after swap"),
             SketchBackend::query(&reference_b, &e),
-            "post-swap engine diverged from the fresh scheme at id {id} ({mode:?})"
+            "post-swap engine diverged from the fresh scheme at id {id}"
         );
     }
     assert_eq!(engine.stats().unaccounted_mass(), 0);
     engine.finish().expect("clean finish");
-}
-
-#[test]
-fn hot_swap_mid_stream_is_bit_safe_in_worker_mode() {
-    check_swap_is_bit_safe(IngestMode::Workers);
-}
-
-#[test]
-fn hot_swap_mid_stream_is_bit_safe_in_inline_mode() {
-    check_swap_is_bit_safe(IngestMode::Inline);
 }
 
 /// Background training publishes without stalling ingest: drive arrivals

@@ -17,54 +17,52 @@ fn element(id: u64) -> StreamElement {
 
 /// After every flush, the published stamps must account for every unit of
 /// admitted mass, epochs must never regress, and the scheme version must
-/// hold steady at 0 (no swap in this test) — in both ingest modes.
+/// hold steady at 0 (no swap in this test).
 #[test]
 fn stamps_are_monotone_and_fully_accounted_after_every_flush() {
-    for mode in [IngestMode::Workers, IngestMode::Inline] {
-        let mut engine = IngestEngine::new(
-            CountMinSketch::new(256, 4, 5),
-            EngineConfig::with_shards(3).batch_capacity(4).mode(mode),
+    let mut engine = IngestEngine::new(
+        CountMinSketch::new(256, 4, 5),
+        EngineConfig::with_shards(3).batch_capacity(4),
+    );
+    let mut previous = engine.snapshot_stamp();
+    assert_eq!(previous.epoch_per_shard.len(), 3);
+    assert_eq!(previous.mass_accounted, 0);
+    let mut total = 0u64;
+    for chunk in 0..10u64 {
+        for id in 0..50u64 {
+            engine.ingest(&element(chunk * 37 + id)).unwrap();
+            total += 1;
+        }
+        engine.flush().unwrap();
+        let stamp = engine.snapshot_stamp();
+        assert_eq!(stamp.scheme_version, 0, "no swap happened");
+        assert_eq!(
+            stamp.mass_accounted, total,
+            "post-flush stamp must account for every admitted unit"
         );
-        let mut previous = engine.snapshot_stamp();
-        assert_eq!(previous.epoch_per_shard.len(), 3);
-        assert_eq!(previous.mass_accounted, 0);
-        let mut total = 0u64;
-        for chunk in 0..10u64 {
-            for id in 0..50u64 {
-                engine.ingest(&element(chunk * 37 + id)).unwrap();
-                total += 1;
-            }
-            engine.flush().unwrap();
-            let stamp = engine.snapshot_stamp();
-            assert_eq!(stamp.scheme_version, 0, "{mode:?}: no swap happened");
-            assert_eq!(
-                stamp.mass_accounted, total,
-                "{mode:?}: post-flush stamp must account for every admitted unit"
-            );
-            for (shard, (&now, &before)) in stamp
-                .epoch_per_shard
-                .iter()
-                .zip(previous.epoch_per_shard.iter())
-                .enumerate()
-            {
-                assert!(
-                    now >= before,
-                    "{mode:?}: shard {shard} epoch regressed {before} -> {now}"
-                );
-            }
-            let stats = engine.stats();
-            assert!(stats.conserved(), "{mode:?}: ledger must balance");
-            assert_eq!(stats.unaccounted_mass(), 0, "{mode:?}: mass unaccounted");
-            previous = stamp;
-        }
-        // The wait-free path and the barrier path agree once flushed.
-        for id in 0..60u64 {
-            assert_eq!(
-                engine.query(&element(id)).estimate,
-                engine.query_synced(&element(id)).unwrap(),
-                "{mode:?}: read paths disagree for {id}"
+        for (shard, (&now, &before)) in stamp
+            .epoch_per_shard
+            .iter()
+            .zip(previous.epoch_per_shard.iter())
+            .enumerate()
+        {
+            assert!(
+                now >= before,
+                "shard {shard} epoch regressed {before} -> {now}"
             );
         }
+        let stats = engine.stats();
+        assert!(stats.conserved(), "ledger must balance");
+        assert_eq!(stats.unaccounted_mass(), 0, "mass unaccounted");
+        previous = stamp;
+    }
+    // The wait-free path and the barrier path agree once flushed.
+    for id in 0..60u64 {
+        assert_eq!(
+            engine.query(&element(id)).estimate,
+            engine.query_synced(&element(id)).unwrap(),
+            "read paths disagree for {id}"
+        );
     }
 }
 
@@ -206,9 +204,7 @@ mod failpoints {
     fn snapshot_queries_return_while_a_worker_is_stalled_mid_batch() {
         let mut engine = IngestEngine::new(
             CountMinSketch::new(256, 4, 5),
-            EngineConfig::with_shards(1)
-                .batch_capacity(8)
-                .mode(IngestMode::Workers),
+            EngineConfig::with_shards(1).batch_capacity(8),
         );
         engine.fault_injector().program(
             "worker::apply@0",
@@ -258,5 +254,43 @@ mod failpoints {
         for id in 0..9u64 {
             assert_eq!(engine.query(&element(id)).estimate, 1.0);
         }
+    }
+
+    /// `flush()` and `swap_backend()` return only once the wait-free path
+    /// reflects them. A delay right before every slot publication holds
+    /// each worker between updating its recovery state and publishing it:
+    /// a worker that acknowledged the barrier (or the swap) first would let
+    /// the engine return while readers still saw the previous snapshot —
+    /// after a swap, a torn mix of the new base and an old-scheme delta.
+    #[test]
+    fn flush_and_swap_return_only_after_their_publication() {
+        let mut engine =
+            IngestEngine::new(CountMinSketch::new(256, 4, 5), EngineConfig::with_shards(2));
+        engine.fault_injector().program(
+            "worker::publish",
+            FaultPlan::delay(Duration::from_millis(100)),
+        );
+        for id in 0..40u64 {
+            engine.ingest(&element(id)).unwrap();
+        }
+
+        engine.flush().unwrap();
+        assert_eq!(
+            engine.snapshot_stamp().mass_accounted,
+            40,
+            "a returned flush must already be visible to wait-free reads"
+        );
+        for id in 0..40u64 {
+            assert_eq!(engine.query(&element(id)).estimate, 1.0, "id {id}");
+        }
+
+        engine.swap_backend(CountMinSketch::new(256, 4, 5)).unwrap();
+        let stamp = engine.snapshot_stamp();
+        assert_eq!(stamp.scheme_version, 1);
+        assert_eq!(
+            stamp.mass_accounted, 0,
+            "a returned swap must leave no old-scheme delta in the view"
+        );
+        assert_eq!(engine.query(&element(7)).estimate, 0.0);
     }
 }

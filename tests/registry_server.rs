@@ -287,3 +287,47 @@ fn quit_mid_window_answers_and_closes() {
     assert_eq!(registry_mass(&server), 1);
     server.shutdown();
 }
+
+#[test]
+fn sharded_tenant_answers_over_loopback_match_the_registry() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(client.send("CREATE hot count-min:128x4 sharded:2"), "OK t0");
+    let mut mass = 0;
+    for i in 0..200u64 {
+        assert_eq!(
+            client.send(&format!("ADD hot {} {}", i % 23, i % 3 + 1)),
+            "OK"
+        );
+        mass += i % 3 + 1;
+    }
+    for id in [0u64, 5, 22, 23, 999] {
+        let answer = client.send(&format!("QUERY hot {id}"));
+        let socket: f64 = answer
+            .strip_prefix("OK ")
+            .and_then(|estimate| estimate.parse().ok())
+            .unwrap_or_else(|| panic!("QUERY answered {answer:?}"));
+        let local = {
+            let registry = server.registry();
+            let mut registry = registry.lock().expect("registry lock");
+            registry
+                .query("hot", &StreamElement::without_features(id))
+                .expect("tenant is live")
+        };
+        assert_eq!(socket.to_bits(), local.to_bits(), "id {id}");
+    }
+    assert!(client.send("STATS hot").contains("sharded=true"));
+    assert_eq!(registry_mass(&server), mass);
+    server.shutdown();
+}
+
+#[test]
+fn oversize_sharded_create_is_refused() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    let answer = client.send("CREATE t count-min:64x1 sharded:100000");
+    assert!(answer.starts_with("ERR sharded:<n>"), "{answer}");
+    assert!(client.send("QUERY t 1").starts_with("ERR unknown tenant"));
+    assert_eq!(client.send("PING"), "OK pong");
+    server.shutdown();
+}
