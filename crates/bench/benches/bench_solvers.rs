@@ -6,17 +6,14 @@
 //! After the criterion groups, `speedup_gate` re-measures the solver
 //! engineering pass end-to-end: an in-bench copy of the pre-pass BCD descent
 //! (`legacy` module — from-scratch bucket recomputation per candidate move)
-//! is raced against today's incremental-cost [`BcdSolver`] and the
-//! [`PortfolioSolver`] on exp2-like (frequency-only, n = 3000, b = 32) and
-//! exp3-like (features, n = 1200, b = 16, λ = 0.5) training workloads, and
-//! the run asserts the ≥ 10× acceptance target on both.
+//! is timed against today's incremental-cost [`BcdSolver`] on exp2-like
+//! (frequency-only, n = 3000, b = 32) and exp3-like (features, n = 1200,
+//! b = 16, λ = 0.5) training workloads, and the run asserts the ≥ 10×
+//! acceptance target on both.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use opthash_solver::kmedian::{kmedian_dp_with, ClusterCost, DpStrategy};
-use opthash_solver::{
-    BcdConfig, BcdSolver, ExactConfig, ExactSolver, HashingProblem, PortfolioConfig,
-    PortfolioSolver,
-};
+use opthash_solver::{BcdConfig, BcdSolver, ExactConfig, ExactSolver, HashingProblem};
 use opthash_stream::Features;
 use std::time::Instant;
 
@@ -319,10 +316,9 @@ mod legacy {
 }
 
 /// End-to-end acceptance gate of the solver engineering pass: on exp2-like
-/// and exp3-like training workloads, the best of (incremental BCD, racing
-/// portfolio) must train ≥ 10× faster than the pre-pass descent, measured
-/// interleaved (best of `TRIALS` alternating passes so machine noise hits
-/// both sides equally).
+/// and exp3-like training workloads, incremental BCD must train ≥ 10× faster
+/// than the pre-pass descent, measured interleaved (best of `TRIALS`
+/// alternating passes so machine noise hits both sides equally).
 fn speedup_gate(_c: &mut Criterion) {
     const TRIALS: usize = 3;
     const RESTARTS: usize = 4;
@@ -334,23 +330,17 @@ fn speedup_gate(_c: &mut Criterion) {
         ..BcdConfig::default()
     };
     let bcd = BcdSolver::new(config);
-    let portfolio = PortfolioSolver::new(PortfolioConfig {
-        bcd: config,
-        ..PortfolioConfig::default()
-    });
 
     println!();
     for (name, problem) in [
         ("exp2_frequency_only_n3000_b32", &exp2),
         ("exp3_features_n1200_b16_lambda0.5", &exp3),
     ] {
-        // Warm-up (page in the problem, spin up the thread pool once).
+        // Warm-up (page in the problem).
         black_box(bcd.solve(problem));
-        black_box(portfolio.solve(problem));
 
         let mut legacy_best = f64::INFINITY;
         let mut bcd_best = f64::INFINITY;
-        let mut portfolio_best = f64::INFINITY;
         let mut legacy_obj = f64::INFINITY;
         let mut new_obj = f64::INFINITY;
         for _ in 0..TRIALS {
@@ -368,22 +358,14 @@ fn speedup_gate(_c: &mut Criterion) {
             let start = Instant::now();
             new_obj = new_obj.min(black_box(bcd.solve(problem)).objective);
             bcd_best = bcd_best.min(start.elapsed().as_secs_f64());
-
-            let start = Instant::now();
-            new_obj = new_obj.min(black_box(portfolio.solve(problem)).objective);
-            portfolio_best = portfolio_best.min(start.elapsed().as_secs_f64());
         }
 
-        let fastest_new = bcd_best.min(portfolio_best);
-        let speedup = legacy_best / fastest_new;
+        let speedup = legacy_best / bcd_best;
         println!(
-            "{name}: legacy {:.1} ms | incremental bcd {:.1} ms ({:.1}x) | \
-             portfolio {:.1} ms ({:.1}x) | objective {:.1} -> {:.1}",
+            "{name}: legacy {:.1} ms | incremental bcd {:.1} ms ({speedup:.1}x) | \
+             objective {:.1} -> {:.1}",
             legacy_best * 1e3,
             bcd_best * 1e3,
-            legacy_best / bcd_best,
-            portfolio_best * 1e3,
-            legacy_best / portfolio_best,
             legacy_obj,
             new_obj,
         );

@@ -3,7 +3,7 @@
 use crate::adaptive::AdaptiveOptHash;
 use crate::estimator::OptHash;
 use opthash_ml::ClassifierKind;
-use opthash_solver::{BcdConfig, ExactConfig, PortfolioConfig};
+use opthash_solver::{BcdConfig, ExactConfig};
 use opthash_stream::{SpaceBudget, Stream, StreamPrefix};
 use serde::{Deserialize, Serialize};
 
@@ -12,16 +12,16 @@ use serde::{Deserialize, Serialize};
 pub enum SolverKind {
     /// Block coordinate descent (Algorithm 1) — the default and the paper's
     /// choice for medium and large instances.
+    ///
+    /// Whatever the kind, a frequency-only problem with no more distinct
+    /// prefix counts than buckets is solved exactly by
+    /// [`opthash_solver::kmedian::solve_equal_counts`] instead.
     Bcd(BcdConfig),
     /// Exact dynamic programming; only valid for `λ = 1` (features ignored).
     Dp,
     /// Exact branch-and-bound (the paper's `milp`); practical for small
     /// instances only.
     Exact(ExactConfig),
-    /// Racing portfolio: parallel BCD restarts raced against the exact DP
-    /// (when `λ = 1`) and brute force (tiny instances), with cooperative
-    /// cancellation. The fastest way to train on multi-core hosts.
-    Portfolio(PortfolioConfig),
 }
 
 impl Default for SolverKind {
@@ -31,14 +31,12 @@ impl Default for SolverKind {
 }
 
 impl SolverKind {
-    /// Short name used in experiment output (`bcd`, `dp`, `milp`,
-    /// `portfolio`).
+    /// Short name used in experiment output (`bcd`, `dp`, `milp`).
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::Bcd(_) => "bcd",
             SolverKind::Dp => "dp",
             SolverKind::Exact(_) => "milp",
-            SolverKind::Portfolio(_) => "portfolio",
         }
     }
 }
@@ -249,10 +247,6 @@ mod tests {
         assert_eq!(SolverKind::Dp.name(), "dp");
         assert_eq!(SolverKind::Bcd(BcdConfig::default()).name(), "bcd");
         assert_eq!(SolverKind::Exact(ExactConfig::default()).name(), "milp");
-        assert_eq!(
-            SolverKind::Portfolio(PortfolioConfig::default()).name(),
-            "portfolio"
-        );
     }
 
     #[test]

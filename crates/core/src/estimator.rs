@@ -3,10 +3,7 @@
 use crate::config::{OptHashConfig, SolverKind};
 use crate::stats::EstimatorStats;
 use opthash_ml::{Classifier, Dataset, TrainedClassifier};
-use opthash_solver::{
-    kmedian, BcdSolver, ExactSolver, HashingProblem, HashingSolution, PortfolioConfig,
-    PortfolioSolver,
-};
+use opthash_solver::{kmedian, BcdSolver, ExactSolver, HashingProblem, HashingSolution};
 use opthash_stream::{
     ElementId, Features, FrequencyEstimator, SpaceReport, StreamElement, StreamPrefix,
 };
@@ -49,29 +46,14 @@ impl OptHash {
     /// this estimator's incumbent assignment mapped onto the new prefix —
     /// stored elements keep their bucket, new elements start in the bucket
     /// whose current average is nearest their observed frequency — which is
-    /// what makes successive closely-related solves cheap. The classifier is
+    /// what makes successive closely-related solves cheap. A frequency-only
+    /// prefix with no more distinct counts than buckets skips the descent
+    /// (the equal-count shortcut is exact there), so its solution is
+    /// `proven_optimal` rather than `warm_started`. The classifier is
     /// retrained on the refreshed assignment, so routing of unseen elements
     /// tracks the new scheme too.
     pub fn retrain(&self, prefix: &StreamPrefix) -> Self {
         Self::build(self.config, prefix, Some(self))
-    }
-
-    /// Like [`OptHash::retrain`], but when the configured solver is BCD the
-    /// re-solve is routed through the racing
-    /// [`opthash_solver::PortfolioSolver`] (parallel warm-started restarts
-    /// raced against the exact DP and brute force). The estimator's stored
-    /// configuration is left untouched — only this solve races — so
-    /// subsequent plain [`OptHash::retrain`] calls behave exactly as before.
-    /// Non-BCD solvers fall back to a plain retrain.
-    pub fn retrain_racing(&self, prefix: &StreamPrefix) -> Self {
-        let solver_override = match self.config.solver {
-            SolverKind::Bcd(bcd) => Some(SolverKind::Portfolio(PortfolioConfig {
-                bcd,
-                ..PortfolioConfig::default()
-            })),
-            _ => None,
-        };
-        Self::build_with_solver(self.config, prefix, Some(self), solver_override)
     }
 
     /// Maps this estimator's incumbent assignment onto a (possibly new)
@@ -101,19 +83,6 @@ impl OptHash {
     }
 
     fn build(config: OptHashConfig, prefix: &StreamPrefix, incumbent: Option<&OptHash>) -> Self {
-        Self::build_with_solver(config, prefix, incumbent, None)
-    }
-
-    /// Builds the estimator, optionally solving with `solver_override`
-    /// instead of `config.solver` (the stored configuration keeps
-    /// `config.solver` either way; only this solve and the recorded
-    /// [`EstimatorStats::solver`] name reflect the override).
-    fn build_with_solver(
-        config: OptHashConfig,
-        prefix: &StreamPrefix,
-        incumbent: Option<&OptHash>,
-        solver_override: Option<SolverKind>,
-    ) -> Self {
         config.validate();
         assert!(prefix.distinct_len() > 0, "cannot train on an empty prefix");
         let total_start = Instant::now();
@@ -143,29 +112,24 @@ impl OptHash {
             config.buckets,
             config.lambda,
         );
+        // Whatever the configured solver, a frequency-only problem with no
+        // more distinct counts than buckets has optimum 0, found by one sort.
         let solver_start = Instant::now();
-        let solver_kind = solver_override.unwrap_or(config.solver);
-        let solution = match solver_kind {
-            SolverKind::Bcd(bcd_config) => {
-                let solver = BcdSolver::new(bcd_config);
-                match incumbent.filter(|_| bcd_config.warm_start) {
-                    Some(previous) => {
-                        solver.solve_from(&problem, &previous.warm_assignment(prefix))
+        let solution = match kmedian::solve_equal_counts(&problem) {
+            Some(solution) => solution,
+            None => match config.solver {
+                SolverKind::Bcd(bcd_config) => {
+                    let solver = BcdSolver::new(bcd_config);
+                    match incumbent.filter(|_| bcd_config.warm_start) {
+                        Some(previous) => {
+                            solver.solve_from(&problem, &previous.warm_assignment(prefix))
+                        }
+                        None => solver.solve(&problem),
                     }
-                    None => solver.solve(&problem),
                 }
-            }
-            SolverKind::Dp => kmedian::solve_frequency_only(&problem),
-            SolverKind::Exact(exact_config) => ExactSolver::new(exact_config).solve(&problem),
-            SolverKind::Portfolio(portfolio_config) => {
-                let solver = PortfolioSolver::new(portfolio_config);
-                match incumbent.filter(|_| portfolio_config.bcd.warm_start) {
-                    Some(previous) => {
-                        solver.solve_from(&problem, &previous.warm_assignment(prefix))
-                    }
-                    None => solver.solve(&problem),
-                }
-            }
+                SolverKind::Dp => kmedian::solve_frequency_only(&problem),
+                SolverKind::Exact(exact_config) => ExactSolver::new(exact_config).solve(&problem),
+            },
         };
         let solver_time = solver_start.elapsed();
 
@@ -191,7 +155,7 @@ impl OptHash {
         let classifier_train_accuracy = classifier.accuracy(&dataset);
 
         let stats = EstimatorStats {
-            solver: solver_kind.name().to_owned(),
+            solver: config.solver.name().to_owned(),
             classifier: config.classifier.name().to_owned(),
             stored_elements: prefix.distinct_len(),
             buckets: config.buckets,
@@ -641,38 +605,6 @@ mod tests {
             (hot - 40.0).abs() < 1e-9,
             "hot bucket isolates element 5: {hot}"
         );
-    }
-
-    #[test]
-    fn portfolio_solver_trains_and_is_recorded() {
-        let est = OptHashBuilder::new(2)
-            .lambda(0.7)
-            .solver(SolverKind::Portfolio(PortfolioConfig::default()))
-            .train(&grouped_prefix());
-        assert_eq!(est.stats().solver, "portfolio");
-        // n = 7 is within the brute-force racer's reach: proven optimal.
-        assert!(est.stats().proven_optimal);
-        let hot = est.estimate(&StreamElement::new(0u64, vec![0.0, 0.1]));
-        let cold = est.estimate(&StreamElement::new(5u64, vec![10.5, 10.0]));
-        assert!(hot > cold, "hot {hot} cold {cold}");
-    }
-
-    #[test]
-    fn retrain_racing_races_without_touching_the_stored_config() {
-        let est = OptHashBuilder::new(2)
-            .lambda(1.0)
-            .solver(SolverKind::Bcd(BcdConfig::default().with_warm_start()))
-            .train(&grouped_prefix());
-        let raced = est.retrain_racing(&drifted_prefix());
-        // The solve raced through the portfolio, but the stored configuration
-        // still says BCD, so later plain retrains behave as before.
-        assert_eq!(raced.stats().solver, "portfolio");
-        assert_eq!(raced.config().solver.name(), "bcd");
-        assert!(raced.solution().stats.warm_started);
-        // λ = 1 means the DP racer proves optimality, so racing can never
-        // end up above the plain warm retrain.
-        let plain = est.retrain(&drifted_prefix());
-        assert!(raced.solution().objective <= plain.solution().objective + 1e-9);
     }
 
     #[test]

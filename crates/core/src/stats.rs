@@ -8,8 +8,9 @@ use std::time::Duration;
 /// sanity metrics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorStats {
-    /// Name of the solver that produced the hashing scheme (`bcd`, `dp`,
-    /// `milp`).
+    /// Name of the configured solver (`bcd`, `dp`, `milp`). A
+    /// frequency-only prefix with no more distinct counts than buckets is
+    /// solved by the exact equal-count shortcut whatever this names.
     pub solver: String,
     /// Name of the classifier used for unseen elements (`logreg`, `cart`,
     /// `rf`).

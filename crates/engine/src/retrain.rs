@@ -9,10 +9,13 @@
 //!    counts, so eviction is O(1) per arrival);
 //! 2. every [`RetrainConfig::retrain_interval`] arrivals it re-solves the
 //!    bucketing on the window prefix via [`opthash::OptHash::retrain`] —
-//!    BCD **warm-started** from the incumbent assignment when the solver
-//!    config carries `warm_start` — and retrains the classifier on the
-//!    refreshed assignment, by default on a background thread so ingest
-//!    never stalls behind a solve;
+//!    one sort when the window holds no more distinct counts than buckets
+//!    (the exact equal-count shortcut), otherwise BCD **warm-started** from
+//!    the incumbent assignment when the solver config carries `warm_start`
+//!    — and retrains the classifier on the refreshed assignment, by default
+//!    on a background thread so ingest never stalls behind a solve. The
+//!    window prefix lists IDs in ascending order, so identical arrivals
+//!    train identical schemes;
 //! 3. it publishes the result as a **versioned [`TrainedScheme`] `Arc`**
 //!    and hot-swaps it into the live engine via
 //!    [`IngestEngine::swap_backend`]: workers drain their queues, retire
@@ -49,18 +52,12 @@ pub struct RetrainConfig {
     pub min_distinct: usize,
     /// Solve on a background thread (`true`, the default) so ingest never
     /// stalls behind training; the swap happens on the next arrival after
-    /// the solve completes. `false` trains synchronously inside
-    /// [`Retrainer::ingest`] — deterministic, used by tests and benches via
-    /// [`Retrainer::retrain_now`].
+    /// the solve completes, so *when* it lands depends on timing. `false`
+    /// trains synchronously inside [`Retrainer::ingest`], which makes the
+    /// whole run reproducible; tests and benches use it with
+    /// [`Retrainer::retrain_now`]. Either way a solve is a deterministic
+    /// function of the window.
     pub background: bool,
-    /// Route re-solves through the racing solver portfolio
-    /// ([`opthash::OptHash::retrain_racing`]: parallel warm-started BCD
-    /// restarts raced against the exact DP and brute force) instead of the
-    /// sequential solver. On by default — re-training latency is the whole
-    /// reason the background thread exists; disable for bit-reproducible
-    /// solves on λ = 1 workloads, where the DP racer can decide races by
-    /// timing.
-    pub portfolio: bool,
 }
 
 impl Default for RetrainConfig {
@@ -70,7 +67,6 @@ impl Default for RetrainConfig {
             retrain_interval: 16_384,
             min_distinct: 64,
             background: true,
-            portfolio: true,
         }
     }
 }
@@ -209,15 +205,12 @@ impl Retrainer {
             if self.window_counts.len() < self.config.min_distinct {
                 self.stats.skipped += 1;
             } else if self.config.background {
-                let incumbent = self.scheme.estimator.clone();
-                let prefix = self.window_prefix();
-                let racing = self.config.portfolio;
+                // Only the copy of the pairs stays on the ingest thread; the
+                // sort and the prefix build run with the solve.
+                let scheme = Arc::clone(&self.scheme);
+                let pairs = self.window_pairs();
                 self.pending = Some(std::thread::spawn(move || {
-                    if racing {
-                        incumbent.retrain_racing(&prefix)
-                    } else {
-                        incumbent.retrain(&prefix)
-                    }
+                    scheme.estimator.retrain(&window_prefix(pairs))
                 }));
             } else {
                 self.train_and_swap()?;
@@ -315,23 +308,19 @@ impl Retrainer {
             .or_insert_with(|| (1, element.clone()));
     }
 
-    /// The window's exact frequency vector as a training prefix.
-    fn window_prefix(&self) -> StreamPrefix {
-        StreamPrefix::from_counts(
-            self.window_counts
-                .values()
-                .map(|(count, element)| (element.clone(), *count))
-                .collect(),
-        )
+    /// The window's exact `(element, count)` pairs, in map order.
+    fn window_pairs(&self) -> Vec<(StreamElement, u64)> {
+        self.window_counts
+            .values()
+            .map(|(count, element)| (element.clone(), *count))
+            .collect()
     }
 
     fn train_and_swap(&mut self) -> Result<(), EngineError> {
-        let prefix = self.window_prefix();
-        let estimator = if self.config.portfolio {
-            self.scheme.estimator.retrain_racing(&prefix)
-        } else {
-            self.scheme.estimator.retrain(&prefix)
-        };
+        let estimator = self
+            .scheme
+            .estimator
+            .retrain(&window_prefix(self.window_pairs()));
         self.stats.retrains += 1;
         self.publish(estimator)
     }
@@ -349,6 +338,16 @@ impl Retrainer {
         self.stats.swaps += 1;
         Ok(())
     }
+}
+
+/// The window's exact frequency vector as a training prefix, in ascending
+/// `ElementId` order. The window map iterates in a per-map random order, and
+/// both BCD's initial assignment and the equal-count shortcut's tie order
+/// follow the prefix order, so sorting is what makes a re-solve a function
+/// of the window alone.
+fn window_prefix(mut pairs: Vec<(StreamElement, u64)>) -> StreamPrefix {
+    pairs.sort_unstable_by_key(|(element, _)| element.id);
+    StreamPrefix::from_counts(pairs)
 }
 
 #[cfg(test)]
@@ -379,7 +378,6 @@ mod tests {
                 retrain_interval: 256,
                 min_distinct: 4,
                 background: false,
-                portfolio: false,
             },
         );
         // Phase 1: ids 0..8 hot; phase 2: ids 100..108 hot.
@@ -419,7 +417,6 @@ mod tests {
                 retrain_interval: 128,
                 min_distinct: 4,
                 background: true,
-                portfolio: false,
             },
         );
         for i in 0..4_000u64 {
@@ -446,7 +443,6 @@ mod tests {
                 retrain_interval: 32,
                 min_distinct: 1_000,
                 background: false,
-                portfolio: false,
             },
         );
         for i in 0..200u64 {
@@ -469,7 +465,6 @@ mod tests {
                 retrain_interval: 1_000_000,
                 min_distinct: 1,
                 background: false,
-                portfolio: false,
             },
         );
         for i in 0..32u64 {

@@ -30,7 +30,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -146,21 +145,6 @@ struct DescentResult {
     converged: bool,
     /// Ended because the EMA stagnation check fired.
     aborted: bool,
-    /// Ended because the cancellation flag was raised.
-    cancelled: bool,
-}
-
-/// Aggregate outcome of a block of restarts (crate-internal; the portfolio
-/// solver races several of these).
-pub(crate) struct RestartsOutcome {
-    pub(crate) assignment: Vec<usize>,
-    pub(crate) objective: f64,
-    pub(crate) trajectory: Vec<f64>,
-    pub(crate) total_sweeps: usize,
-    pub(crate) moves_evaluated: u64,
-    pub(crate) restarts_aborted: usize,
-    pub(crate) restarts_run: usize,
-    pub(crate) time_to_best: Duration,
 }
 
 struct BestState {
@@ -270,9 +254,9 @@ impl BcdSolver {
 
     /// Like [`BcdSolver::solve`] / [`BcdSolver::solve_from`] but
     /// cooperatively cancellable: the descent checks `cancel` at every sweep
-    /// boundary and returns its best-so-far solution as soon as the flag is
-    /// raised. This is the entry point the racing
-    /// [`crate::portfolio::PortfolioSolver`] uses for its BCD workers.
+    /// boundary and returns its best-so-far solution once the flag is raised.
+    /// Restart 0 always runs (possibly for zero sweeps), so a valid
+    /// assignment comes back even if the flag was raised before the call.
     pub fn solve_cancellable(
         &self,
         problem: &HashingProblem,
@@ -286,7 +270,7 @@ impl BcdSolver {
         )
     }
 
-    pub(crate) fn clamp_warm(problem: &HashingProblem, initial: &[usize]) -> Vec<usize> {
+    fn clamp_warm(problem: &HashingProblem, initial: &[usize]) -> Vec<usize> {
         assert_eq!(
             initial.len(),
             problem.len(),
@@ -298,82 +282,42 @@ impl BcdSolver {
             .collect()
     }
 
+    /// Runs the configured restarts (restart `r` seeds its RNG with
+    /// `seed + r`); `warm` seeds restart 0. Restarts after the first may be
+    /// EMA-aborted, and their leftover budget continues the incumbent's
+    /// descent.
     fn solve_inner(
         &self,
         problem: &HashingProblem,
-        warm: Option<Vec<usize>>,
+        mut warm: Option<Vec<usize>>,
         cancel: Option<&AtomicBool>,
     ) -> HashingSolution {
         assert!(!problem.is_empty(), "cannot solve an empty problem");
         let start = Instant::now();
         let warm_started = warm.is_some();
         let restarts = self.config.restarts.max(1);
-        let outcome = self.run_restarts(problem, warm, 0..restarts, cancel, true);
-        let stats = SolverStats {
-            elapsed: start.elapsed(),
-            iterations: outcome.total_sweeps,
-            proven_optimal: false,
-            restarts,
-            initial_objective: outcome.trajectory.first().copied().unwrap_or(0.0),
-            cost_trajectory: outcome.trajectory,
-            warm_started,
-            moves_evaluated: outcome.moves_evaluated,
-            restarts_aborted: outcome.restarts_aborted,
-            time_to_best: outcome.time_to_best,
-        };
-        problem.solution_from_assignment(outcome.assignment, stats)
-    }
-
-    /// Runs the restarts `range` (restart `r` seeds its RNG with
-    /// `seed + r`, so any partition of the full range across workers visits
-    /// the same initial assignments as a sequential run). `warm` seeds the
-    /// first restart of the range. With `allow_abort`, restarts after the
-    /// first may be EMA-aborted and their leftover budget continues the
-    /// incumbent's descent; the portfolio workers disable it so a raced
-    /// partition is never worse than the same restarts run sequentially.
-    pub(crate) fn run_restarts(
-        &self,
-        problem: &HashingProblem,
-        mut warm: Option<Vec<usize>>,
-        range: Range<usize>,
-        cancel: Option<&AtomicBool>,
-        allow_abort: bool,
-    ) -> RestartsOutcome {
-        let start = Instant::now();
         let mut best: Option<BestState> = None;
         let mut total_sweeps = 0usize;
         let mut moves_evaluated = 0u64;
         let mut restarts_aborted = 0usize;
-        let mut restarts_run = 0usize;
         let mut budget_pool = 0usize;
         let mut time_to_best = Duration::ZERO;
-        let mut cancelled = false;
         // Pairwise feature distances are assignment-independent: build them
         // once and share them across every restart of this solve.
         let pairs = (problem.uses_features() && problem.len() <= PAIR_CACHE_LIMIT)
             .then(|| PairwiseDistances::new(problem));
+        let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
 
-        for restart in range.clone() {
-            // Always run at least one descent so there is a result to return,
-            // even if the cancellation flag was raised before we started.
-            if restart != range.start {
-                if let Some(flag) = cancel {
-                    if flag.load(Ordering::Relaxed) {
-                        cancelled = true;
-                        break;
-                    }
-                }
+        for restart in 0..restarts {
+            // Restart 0 always runs so there is a result to return.
+            if restart > 0 && cancelled() {
+                break;
             }
             let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(restart as u64));
             let assignment = match warm.take() {
-                // The first restart of the range descends from the incumbent.
+                // Restart 0 descends from the incumbent.
                 Some(initial) => initial,
                 None => self.initial_assignment(problem, &mut rng),
-            };
-            let abort_against = if allow_abort {
-                best.as_ref().map(|b| b.objective)
-            } else {
-                None
             };
             let result = self.descend(
                 problem,
@@ -382,20 +326,16 @@ impl BcdSolver {
                 DescendControl {
                     max_sweeps: self.config.max_iterations,
                     cancel,
-                    abort_against,
+                    abort_against: best.as_ref().map(|b| b.objective),
                     abort_after: self.config.abort_after,
                     pairs: pairs.as_ref(),
                 },
             );
-            restarts_run += 1;
             total_sweeps += result.sweeps;
             moves_evaluated += result.moves_evaluated;
             if result.aborted {
                 restarts_aborted += 1;
                 budget_pool += self.config.max_iterations.saturating_sub(result.sweeps);
-            }
-            if result.cancelled {
-                cancelled = true;
             }
             if best.as_ref().is_none_or(|b| result.objective < b.objective) {
                 time_to_best = start.elapsed();
@@ -406,14 +346,11 @@ impl BcdSolver {
                     converged: result.converged,
                 });
             }
-            if cancelled {
-                break;
-            }
         }
 
         // Reallocate the budget freed by aborted restarts to the incumbent:
         // if its descent ran out of sweeps before converging, let it continue.
-        if allow_abort && budget_pool > 0 && !cancelled {
+        if budget_pool > 0 && !cancelled() {
             if let Some(incumbent) = best.take() {
                 if incumbent.converged {
                     best = Some(incumbent);
@@ -449,16 +386,19 @@ impl BcdSolver {
         }
 
         let best = best.expect("at least one restart runs");
-        RestartsOutcome {
-            assignment: best.assignment,
-            objective: best.objective,
-            trajectory: best.trajectory,
-            total_sweeps,
+        let stats = SolverStats {
+            elapsed: start.elapsed(),
+            iterations: total_sweeps,
+            proven_optimal: false,
+            restarts,
+            initial_objective: best.trajectory.first().copied().unwrap_or(0.0),
+            cost_trajectory: best.trajectory,
+            warm_started,
             moves_evaluated,
             restarts_aborted,
-            restarts_run,
             time_to_best,
-        }
+        };
+        problem.solution_from_assignment(best.assignment, stats)
     }
 
     /// One descent run from a given initial assignment.
@@ -479,14 +419,10 @@ impl BcdSolver {
         let mut sweeps = 0usize;
         let mut converged = false;
         let mut aborted = false;
-        let mut cancelled = false;
 
         for sweep in 0..control.max_sweeps {
-            if let Some(flag) = control.cancel {
-                if flag.load(Ordering::Relaxed) {
-                    cancelled = true;
-                    break;
-                }
+            if control.cancel.is_some_and(|f| f.load(Ordering::Relaxed)) {
+                break;
             }
             order.shuffle(rng);
             for &i in &order {
@@ -544,7 +480,6 @@ impl BcdSolver {
             sweeps,
             converged,
             aborted,
-            cancelled,
         }
     }
 }
@@ -904,9 +839,9 @@ mod tests {
             ..BcdConfig::default()
         };
         let cancel = AtomicBool::new(false);
-        let raced = BcdSolver::new(cfg).solve_cancellable(&p, None, &cancel);
+        let cancellable = BcdSolver::new(cfg).solve_cancellable(&p, None, &cancel);
         let plain = BcdSolver::new(cfg).solve(&p);
-        assert_eq!(raced.assignment, plain.assignment);
-        assert_eq!(raced.objective, plain.objective);
+        assert_eq!(cancellable.assignment, plain.assignment);
+        assert_eq!(cancellable.objective, plain.objective);
     }
 }

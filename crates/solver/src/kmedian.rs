@@ -21,6 +21,10 @@
 //! estimation error of Problem (1) charges). They usually coincide on the
 //! integer frequency data of the experiments; both are exposed so the
 //! benchmark harness can report either.
+//!
+//! [`solve_equal_counts`] is the exact case that needs no table: when there
+//! are no more distinct values than clusters, equal values share a cluster
+//! at zero cost, and one stable sort reproduces the DP's assignment.
 
 use crate::problem::{HashingProblem, HashingSolution, SolverStats};
 use serde::{Deserialize, Serialize};
@@ -63,8 +67,8 @@ pub struct KMedianResult {
     pub assignment: Vec<usize>,
     /// Optimal total within-cluster deviation under the chosen cost.
     pub cost: f64,
-    /// Number of clusters actually used (`min(k, number of distinct-ish
-    /// groups)` — always `min(k, n)`).
+    /// Number of clusters used: always `min(k, n)`, since every cluster of
+    /// the DP holds at least one value.
     pub clusters_used: usize,
     /// DP cells evaluated (candidate `(split, prefix)` pairs scored). The
     /// monotonicity pruning of the quadratic strategy and the shrinking
@@ -167,9 +171,9 @@ pub fn kmedian_dp_with(
 }
 
 /// Cooperatively cancellable variant of [`kmedian_dp_with`]: the DP checks
-/// `cancel` once per cluster row and returns `None` as soon as the flag is
-/// raised. Used by the racing portfolio so an already-decided race does not
-/// keep paying for the table.
+/// `cancel` once per cluster row (and periodically inside a row) and returns
+/// `None` as soon as the flag is raised, so a caller that no longer needs
+/// the result stops paying for the table.
 pub fn kmedian_dp_cancellable(
     values: &[f64],
     k: usize,
@@ -238,8 +242,8 @@ fn kmedian_dp_inner(
         match strategy {
             DpStrategy::Quadratic => {
                 for i in 0..n {
-                    // Large rows can dominate the race long after it is
-                    // decided; poll cancellation inside the row too.
+                    // Large rows can take long; poll cancellation inside the
+                    // row too.
                     if i & 0x3FF == 0 && cancelled() {
                         return None;
                     }
@@ -358,8 +362,13 @@ fn kmedian_dp_inner(
 /// estimation-error term of Problem (1), over contiguous partitions of the
 /// sorted frequencies (via the exact quadratic DP — see
 /// [`DpStrategy::DivideAndConquer`] for why the subquadratic strategy is
-/// reserved for the median cost).
+/// reserved for the median cost). Instances with no more distinct
+/// frequencies than buckets skip the table: [`solve_equal_counts`] returns
+/// the same assignment after one sort.
 pub fn solve_frequency_only(problem: &HashingProblem) -> HashingSolution {
+    if let Some(solution) = solve_equal_counts(problem) {
+        return solution;
+    }
     let start = Instant::now();
     let result = kmedian_dp_with(
         &problem.frequencies,
@@ -379,35 +388,94 @@ pub fn solve_frequency_only(problem: &HashingProblem) -> HashingSolution {
     problem.solution_from_assignment(result.assignment, stats)
 }
 
-/// Cancellable variant of [`solve_frequency_only`] for the racing portfolio:
-/// returns `None` if `cancel` is raised before the DP table completes.
-pub fn solve_frequency_only_cancellable(
-    problem: &HashingProblem,
-    cancel: &AtomicBool,
-) -> Option<HashingSolution> {
+/// Exact shortcut for frequency-only problems whose prefix holds `d ≤ b`
+/// distinct frequencies: equal counts share a bucket at zero estimation
+/// error, so the optimum is 0 and costs one stable sort instead of a DP
+/// table.
+///
+/// Returns `None` when the similarity term is active
+/// ([`HashingProblem::uses_features`]) or when `d > b`. Grouping equal counts
+/// is not exact there: the mean-deviation optimum may split a tie (see the
+/// `mean_abs_optimum_can_split_ties` test), so those instances need the DP.
+///
+/// The assignment is the one [`kmedian_dp_with`] returns with
+/// [`ClusterCost::MeanAbs`] on integer counts, bit for bit. That DP keeps the
+/// first minimizing split, so it uses all `k = min(b, n)` buckets and peels
+/// singletons off the lowest counts. In stable frequency order, with `p` the
+/// smallest cut such that `p` plus the number of distinct values among
+/// positions `p..n` reaches `k`:
+///
+/// * positions `0..p` get singleton buckets `0..p`;
+/// * the remaining positions get one bucket per value, numbered upward from
+///   `p`.
+///
+/// ```
+/// use opthash_solver::kmedian::solve_equal_counts;
+/// use opthash_solver::HashingProblem;
+///
+/// // Two distinct counts, three buckets: one 1 is peeled off as a singleton.
+/// let problem = HashingProblem::frequency_only(vec![5.0, 1.0, 1.0, 5.0, 1.0], 3);
+/// let solution = solve_equal_counts(&problem).expect("d = 2 <= b = 3");
+/// assert_eq!(solution.assignment, vec![2, 0, 1, 2, 1]);
+/// assert_eq!(solution.objective, 0.0);
+/// assert!(solution.stats.proven_optimal);
+///
+/// // Three distinct counts do not fit two buckets.
+/// let tight = HashingProblem::frequency_only(vec![1.0, 2.0, 3.0], 2);
+/// assert!(solve_equal_counts(&tight).is_none());
+/// ```
+pub fn solve_equal_counts(problem: &HashingProblem) -> Option<HashingSolution> {
+    if problem.uses_features() {
+        return None;
+    }
     let start = Instant::now();
-    let result = kmedian_dp_cancellable(
-        &problem.frequencies,
-        problem.buckets,
-        ClusterCost::MeanAbs,
-        DpStrategy::DivideAndConquer,
-        cancel,
-    )?;
+    let values = &problem.frequencies;
+    let n = values.len();
+    // The same stable order the DP sorts into, so ties break identically.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        values[a]
+            .partial_cmp(&values[b])
+            .expect("frequencies are finite")
+    });
+    let last_of_value = |pos: usize| pos + 1 == n || values[order[pos + 1]] != values[order[pos]];
+    let distinct = (0..n).filter(|&pos| last_of_value(pos)).count();
+    if distinct > problem.buckets {
+        return None;
+    }
+
+    let k = problem.buckets.min(n);
+    let mut assignment = vec![0usize; n];
+    let mut bucket = 0usize;
+    // Distinct values among sorted positions `pos..n`.
+    let mut remaining = distinct;
+    for (pos, &i) in order.iter().enumerate() {
+        assignment[i] = bucket;
+        // A bucket closes at the last position of its value, and at every
+        // position before the cut `p`. `pos + remaining` grows by at most one
+        // per position, so it first reaches `k` exactly at `p`.
+        if last_of_value(pos) {
+            remaining -= 1;
+            bucket += 1;
+        } else if pos + remaining < k {
+            bucket += 1;
+        }
+    }
+    debug_assert_eq!(bucket, k, "every one of the min(b, n) buckets is used");
+
     let stats = SolverStats {
         elapsed: start.elapsed(),
-        iterations: result.cells_evaluated as usize,
         proven_optimal: true,
-        restarts: 0,
-        moves_evaluated: result.cells_evaluated,
         time_to_best: start.elapsed(),
         ..SolverStats::default()
     };
-    Some(problem.solution_from_assignment(result.assignment, stats))
+    Some(problem.solution_from_assignment(assignment, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opthash_stream::Features;
 
     /// Brute-force optimal contiguous partition cost for validation.
     fn brute_contiguous(values: &[f64], k: usize, cost: ClusterCost) -> f64 {
@@ -669,5 +737,55 @@ mod tests {
         let reference = kmedian_dp(&values, 8);
         assert_eq!(live.assignment, reference.assignment);
         assert!((live.cost - reference.cost).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solve_frequency_only_takes_the_shortcut_only_when_it_applies() {
+        // d = 3 <= b = 6: one sort, no DP cell scored, the DP's assignment.
+        let values = vec![4.0, 4.0, 1.0, 9.0, 1.0, 4.0, 9.0, 9.0];
+        let fits = HashingProblem::frequency_only(values.clone(), 6);
+        let solved = solve_frequency_only(&fits);
+        let dp = kmedian_dp_with(&values, 6, ClusterCost::MeanAbs, DpStrategy::Quadratic);
+        assert_eq!(solved.assignment, dp.assignment);
+        assert_eq!(solved.stats.moves_evaluated, 0);
+        assert!(solved.stats.proven_optimal);
+
+        // d = 3 > b = 2: the DP runs.
+        let crowded = HashingProblem::frequency_only(vec![1.0, 2.0, 3.0, 3.0], 2);
+        assert!(solve_equal_counts(&crowded).is_none());
+        assert!(solve_frequency_only(&crowded).stats.moves_evaluated > 0);
+
+        // An active similarity term: the shortcut declines whatever d is.
+        let features = vec![Features::new(vec![0.0]), Features::new(vec![1.0])];
+        let with_features = HashingProblem::new(vec![1.0, 1.0], features, 2, 0.5);
+        assert!(solve_equal_counts(&with_features).is_none());
+    }
+
+    /// Why the shortcut stops at `d ≤ b`: with more distinct values than
+    /// clusters, the mean-deviation optimum can split a tie, so grouping
+    /// equal counts before the DP would not be exact.
+    #[test]
+    fn mean_abs_optimum_can_split_ties() {
+        let values = [1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 24.0];
+        let dp = kmedian_dp_with(&values, 3, ClusterCost::MeanAbs, DpStrategy::Quadratic);
+        assert!((dp.cost - 4.0).abs() < 1e-9, "dp cost {}", dp.cost);
+        assert_ne!(dp.assignment[4], dp.assignment[5], "the two 3s are split");
+
+        // Best 3-partition that cuts only between distinct values.
+        let rc = RangeCost::new(&values, ClusterCost::MeanAbs);
+        let n = values.len();
+        let cuts: Vec<usize> = (1..n).filter(|&i| values[i] != values[i - 1]).collect();
+        let mut grouped = f64::INFINITY;
+        for (x, &a) in cuts.iter().enumerate() {
+            for &c in &cuts[x + 1..] {
+                let cost =
+                    rc.range_cost(0, a - 1) + rc.range_cost(a, c - 1) + rc.range_cost(c, n - 1);
+                grouped = grouped.min(cost);
+            }
+        }
+        assert!(
+            (grouped - 14.0 / 3.0).abs() < 1e-9,
+            "grouped cost {grouped}"
+        );
     }
 }

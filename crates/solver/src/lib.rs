@@ -11,11 +11,14 @@
 //! + (1−λ) · Σ_j Σ_{(i,k)∈I_j×I_j} ‖x_i − x_k‖₂  (similarity error)
 //! ```
 //!
-//! Three solvers are provided, mirroring the paper's `milp` / `bcd` / `dp`:
+//! The solvers mirror the paper's `milp` / `bcd` / `dp`:
 //!
 //! * [`kmedian`] — exact dynamic programming for the `λ = 1` special case
 //!   (Problem (3); 1-D k-median clustering), in `O(n²b)` or
-//!   `O(n·b·log n)` via divide-and-conquer,
+//!   `O(n·b·log n)` via divide-and-conquer, plus the exact shortcut
+//!   [`kmedian::solve_equal_counts`]: when the prefix holds no more distinct
+//!   frequencies than buckets, equal counts share a bucket, the optimum is
+//!   0, and one sort replaces the table,
 //! * [`bcd`] — the block coordinate descent heuristic of Algorithm 1 with
 //!   incremental bucket statistics and several initialization strategies,
 //! * [`exact`] — an exact branch-and-bound solver for the general `λ` case,
@@ -23,11 +26,7 @@
 //!   (Problem (2)) with Gurobi; it returns the same optimal assignment for
 //!   the instance sizes the paper uses the MILP on,
 //! * [`brute`] — exhaustive enumeration for very small instances, used to
-//!   validate the other solvers in tests,
-//! * [`portfolio`] — a racing portfolio that runs BCD restarts on parallel
-//!   threads and races them against the provably-optimal DP (when `λ = 1`)
-//!   and brute force (tiny instances), cancelling the losers as soon as a
-//!   proven optimum lands.
+//!   validate the other solvers in tests.
 //!
 //! Supporting modules: [`incremental`] maintains the Problem (1) objective
 //! under single-element moves with O(log m) evaluation, and [`progress`]
@@ -54,7 +53,6 @@ pub mod brute;
 pub mod exact;
 pub mod incremental;
 pub mod kmedian;
-pub mod portfolio;
 pub mod problem;
 pub mod progress;
 
@@ -63,6 +61,5 @@ pub use brute::brute_force;
 pub use exact::{ExactConfig, ExactSolver};
 pub use incremental::{IncrementalObjective, PairwiseDistances};
 pub use kmedian::{kmedian_dp, kmedian_dp_cancellable, KMedianResult};
-pub use portfolio::{PortfolioConfig, PortfolioSolver};
 pub use problem::{BucketStats, HashingProblem, HashingSolution, SolverStats};
 pub use progress::{Ema, Ema2};

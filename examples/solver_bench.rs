@@ -1,5 +1,5 @@
-//! Solver engineering benchmark: cold multi-start BCD vs warm-started
-//! re-solve vs the racing portfolio, on exp2-like (frequency-only) and
+//! Solver engineering benchmark: multi-start BCD without and with EMA
+//! aborts, and the warm-started re-solve, on exp2-like (frequency-only) and
 //! exp3-like (feature-active) training workloads.
 //!
 //! ```text
@@ -13,10 +13,8 @@
 //! performance trajectory to `BENCH_solver.json`. `--smoke` shrinks the
 //! instances so CI can exercise the full path in seconds.
 //!
-//! Invariants asserted on every run: warm-started re-solves carry the
-//! warm-start flag, and the portfolio — whose workers replay the very same
-//! seeded restarts without aborts before racing extra candidates — never
-//! returns a worse objective than the sequential cold solve.
+//! Invariant asserted on every run: warm-started re-solves carry the
+//! warm-start flag.
 
 use opthash_bench::reporting::{JsonFields, PerfReport};
 use opthash_repro::prelude::*;
@@ -134,15 +132,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..BcdConfig::default()
     };
     // No-abort reference: every restart descends to convergence. This is the
-    // baseline the EMA-abort speedup and the portfolio's never-worse
-    // invariant are measured against.
+    // baseline the EMA-abort speedup is measured against.
     let full_solver = BcdSolver::new(config.without_aborts());
     let cold_solver = BcdSolver::new(config);
     let warm_solver = BcdSolver::new(config.with_warm_start());
-    let portfolio = PortfolioSolver::new(PortfolioConfig {
-        bcd: config,
-        ..PortfolioConfig::default()
-    });
 
     let exp3_n = (args.n * 2) / 5; // feature workloads carry an O(n²·d) term
     let workloads = [
@@ -177,28 +170,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Re-solve the drifted instance warm-started from the incumbent —
         // the online retrainer's steady-state path.
         let warm = warm_solver.solve_warm(drifted, &cold);
-        let raced = portfolio.solve(problem);
 
         assert!(warm.stats.warm_started, "warm path must record its seed");
-        // The portfolio's workers replay the same seeded restarts (without
-        // aborts) before racing extra candidates, so it can never lose to
-        // the no-abort sequential solve. (The abort-enabled cold solve is
-        // *not* a valid bound: its freed budget may continue the incumbent's
-        // descent past where the plain restarts stop.)
-        assert!(
-            raced.objective <= full.objective + 1e-9,
-            "portfolio ({}) must never lose to the no-abort sequential solve ({})",
-            raced.objective,
-            full.objective
-        );
 
         let speedup_abort = full.stats.elapsed.as_secs_f64() / cold.stats.elapsed.as_secs_f64();
         let speedup_warm = cold.stats.elapsed.as_secs_f64() / warm.stats.elapsed.as_secs_f64();
-        let speedup_raced = full.stats.elapsed.as_secs_f64() / raced.stats.elapsed.as_secs_f64();
         println!(
             "{name}: no-abort {:.1} ms | cold {:.1} ms ({} sweeps, {} moves, \
-             {} aborts, {:.2}x) | warm {:.1} ms ({:.2}x vs cold) | \
-             portfolio {:.1} ms ({:.2}x, proven={})",
+             {} aborts, {:.2}x) | warm {:.1} ms ({:.2}x vs cold)",
             full.stats.elapsed.as_secs_f64() * 1e3,
             cold.stats.elapsed.as_secs_f64() * 1e3,
             cold.stats.iterations,
@@ -207,9 +186,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             speedup_abort,
             warm.stats.elapsed.as_secs_f64() * 1e3,
             speedup_warm,
-            raced.stats.elapsed.as_secs_f64() * 1e3,
-            speedup_raced,
-            raced.stats.proven_optimal,
         );
 
         let mut fields = JsonFields::new()
@@ -219,20 +195,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .float("lambda", problem.lambda, 2)
             .float("no_abort_objective", full.objective, 3)
             .float("cold_objective", cold.objective, 3)
-            .float("warm_objective", warm.objective, 3)
-            .float("portfolio_objective", raced.objective, 3);
+            .float("warm_objective", warm.objective, 3);
         fields = stats_fields("no_abort", &full.stats, fields);
         fields = stats_fields("cold", &cold.stats, fields);
         fields = stats_fields("warm", &warm.stats, fields);
-        fields = stats_fields("portfolio", &raced.stats, fields);
         report.push(
             "workloads",
             fields
                 .flag("warm_started", warm.stats.warm_started)
-                .flag("portfolio_proven_optimal", raced.stats.proven_optimal)
                 .float("speedup_aborts_vs_no_abort", speedup_abort, 2)
-                .float("speedup_warm_vs_cold", speedup_warm, 2)
-                .float("speedup_portfolio_vs_no_abort", speedup_raced, 2),
+                .float("speedup_warm_vs_cold", speedup_warm, 2),
         );
     }
 

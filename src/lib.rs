@@ -53,8 +53,7 @@ pub mod prelude {
         BloomFilter, CountMinSketch, CountSketch, LearnedCountMin, MisraGries,
     };
     pub use opthash_solver::{
-        BcdConfig, BcdSolver, ExactConfig, HashingProblem, HashingSolution, PortfolioConfig,
-        PortfolioSolver, SolverStats,
+        BcdConfig, BcdSolver, ExactConfig, HashingProblem, HashingSolution, SolverStats,
     };
     pub use opthash_stream::{
         ElementId, ErrorMetrics, Features, FrequencyEstimator, FrequencyVector, SpaceBudget,

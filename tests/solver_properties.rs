@@ -1,12 +1,17 @@
 //! Property-based tests of the optimization layer: the relationships between
 //! the dp / bcd / exact solvers that the paper relies on (optimality of the
-//! DP for λ = 1, BCD never worse than its initialization, the exact solver
-//! matching brute force) must hold on arbitrary inputs, not just the
-//! hand-picked examples of the unit tests.
+//! DP for λ = 1, the equal-count shortcut reproducing the DP, BCD never
+//! worse than its initialization, the exact solver matching brute force)
+//! must hold on arbitrary inputs, not just the hand-picked examples of the
+//! unit tests.
+//!
+//! `PROPTEST_SEED=<u64>` draws a different set of cases and
+//! `PROPTEST_CASES=<n>` changes how many; a failure prints the seed.
 
+use opthash_solver::kmedian::{self, ClusterCost, DpStrategy};
 use opthash_solver::{
-    brute_force, kmedian, BcdConfig, BcdSolver, ExactConfig, ExactSolver, HashingProblem,
-    IncrementalObjective, PortfolioConfig, PortfolioSolver,
+    brute_force, BcdConfig, BcdSolver, ExactConfig, ExactSolver, HashingProblem,
+    IncrementalObjective,
 };
 use opthash_stream::{assignment_errors, Features};
 use proptest::prelude::*;
@@ -257,34 +262,9 @@ proptest! {
         }
     }
 
-    /// The racing portfolio runs (at least) the same restarts as a
-    /// sequential no-abort BCD with the same budget, so its result can never
-    /// be worse — racers only add candidates.
-    #[test]
-    fn portfolio_never_loses_to_sequential_bcd(
-        freqs in frequencies(16),
-        buckets in 2usize..5,
-        seed in 0u64..20,
-        lambda_percent in prop::sample::select(vec![50u8, 100]),
-    ) {
-        let lambda = f64::from(lambda_percent) / 100.0;
-        let features = if lambda < 1.0 { features_for(&freqs) } else { Vec::new() };
-        let problem = HashingProblem::new(freqs, features, buckets, lambda);
-        let config = BcdConfig { restarts: 2, seed, ..BcdConfig::default() }.without_aborts();
-        let sequential = BcdSolver::new(config).solve(&problem);
-        let portfolio = PortfolioSolver::new(PortfolioConfig {
-            bcd: config,
-            ..PortfolioConfig::default()
-        })
-        .solve(&problem);
-        prop_assert!(portfolio.objective <= sequential.objective + 1e-9,
-            "portfolio {} lost to sequential bcd {}",
-            portfolio.objective, sequential.objective);
-    }
-
-    /// The non-racing path stays deterministic: the same seed produces the
-    /// same assignment, objective, and sweep count run-over-run (hot-swap
-    /// reproducibility of the online engine depends on this).
+    /// BCD is deterministic: the same seed produces the same assignment,
+    /// objective, and sweep count run-over-run (hot-swap reproducibility of
+    /// the online engine depends on this).
     #[test]
     fn bcd_is_deterministic_given_a_seed(
         freqs in frequencies(16),
@@ -318,6 +298,41 @@ proptest! {
         prop_assert!(solution.objective >= 0.0);
         if (lambda - 1.0).abs() < f64::EPSILON {
             prop_assert!((solution.objective - solution.estimation_error).abs() < 1e-9);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The equal-count shortcut returns exactly the λ = 1 DP's assignment,
+    /// at objective 0, whenever the prefix holds `d ≤ b` distinct counts,
+    /// and declines when `d > b`. Counts come from a small range, so ties,
+    /// `d ≤ b` and `b > n` are all common.
+    #[test]
+    fn equal_counts_shortcut_matches_the_dp_or_declines(
+        freqs in prop::collection::vec(1u32..8, 1..24)
+            .prop_map(|v| v.into_iter().map(f64::from).collect::<Vec<f64>>()),
+        buckets in 1usize..30,
+    ) {
+        let mut values = freqs.clone();
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        values.dedup();
+        let distinct = values.len();
+        let problem = HashingProblem::frequency_only(freqs.clone(), buckets);
+        match kmedian::solve_equal_counts(&problem) {
+            Some(shortcut) => {
+                prop_assert!(distinct <= buckets,
+                    "shortcut answered with d = {} > b = {}", distinct, buckets);
+                let dp =
+                    kmedian::kmedian_dp_with(&freqs, buckets, ClusterCost::MeanAbs, DpStrategy::Quadratic);
+                prop_assert_eq!(&shortcut.assignment, &dp.assignment);
+                prop_assert_eq!(shortcut.objective, 0.0);
+                prop_assert!(shortcut.stats.proven_optimal);
+                prop_assert_eq!(shortcut.used_buckets(), buckets.min(freqs.len()));
+            }
+            None => prop_assert!(distinct > buckets,
+                "shortcut declined with d = {} <= b = {}", distinct, buckets),
         }
     }
 }
