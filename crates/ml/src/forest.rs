@@ -6,8 +6,12 @@
 //! are made by majority vote. The paper tunes the maximum depth and the
 //! per-split feature count for this model (Section 6.2) and selects it as the
 //! classifier for the search-query study (Section 7.3).
+//!
+//! The features are copied column by column once per forest; each tree
+//! grows on that copy with its bootstrap kept as per-row multiplicities
+//! (see the `cart` module's split search), so no tree copies the dataset.
 
-use crate::cart::{CartConfig, DecisionTree};
+use crate::cart::{CartConfig, Columns, DecisionTree};
 use crate::classifier::Classifier;
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -50,6 +54,9 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Trains the forest on a dataset.
+    ///
+    /// # Panics
+    /// Panics if `config.num_trees` is 0 or a feature value is NaN.
     pub fn fit(data: &Dataset, config: &ForestConfig) -> Self {
         assert!(config.num_trees > 0, "forest needs at least one tree");
         let num_classes = data.num_classes().max(1);
@@ -64,10 +71,15 @@ impl RandomForest {
             .unwrap_or_else(|| (data.num_features() as f64).sqrt().ceil().max(1.0) as usize);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = data.len();
+        let columns = Columns::new(data);
+        let mut weights = vec![0usize; n];
         let trees = (0..config.num_trees)
             .map(|t| {
-                let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                let sample = data.subset(&bootstrap).with_num_classes(num_classes);
+                // The bootstrap resample, as the number of draws of each row.
+                weights.fill(0);
+                for _ in 0..n {
+                    weights[rng.gen_range(0..n)] += 1;
+                }
                 let cart_config = CartConfig {
                     max_depth: config.max_depth,
                     min_samples_split: config.min_samples_split,
@@ -75,7 +87,7 @@ impl RandomForest {
                     max_features: Some(max_features),
                     seed: config.seed.wrapping_add(t as u64 + 1),
                 };
-                DecisionTree::fit(&sample, &cart_config)
+                DecisionTree::grow(&columns, data.labels(), &weights, num_classes, &cart_config)
             })
             .collect();
         RandomForest { trees, num_classes }
@@ -129,6 +141,60 @@ impl Classifier for RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cart::mixed_dataset;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn fit_matches_bootstrap_subsets_grown_row_major(
+            seed in 0u64..u64::MAX,
+            rows in 1usize..30,
+            features in 0usize..6,
+            classes in 1usize..5,
+            num_trees in 1usize..4,
+            max_depth in 0usize..6,
+            max_features in 0usize..5,
+            min_samples_split in 0usize..4,
+            forest_seed in 0u64..1_000,
+        ) {
+            let data = mixed_dataset(seed, rows, features, classes);
+            let config = ForestConfig {
+                num_trees,
+                max_depth,
+                max_features: max_features.checked_sub(1),
+                min_samples_split,
+                seed: forest_seed,
+            };
+            let forest = RandomForest::fit(&data, &config);
+
+            // The reference copies every bootstrap sample and grows it with
+            // the row-major search.
+            let num_classes = data.num_classes().max(1);
+            let max_features = config
+                .max_features
+                .unwrap_or_else(|| (data.num_features() as f64).sqrt().ceil().max(1.0) as usize);
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let n = data.len();
+            let trees = (0..num_trees)
+                .map(|t| {
+                    let bootstrap: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                    let sample = data.subset(&bootstrap).with_num_classes(num_classes);
+                    let cart_config = CartConfig {
+                        max_depth,
+                        min_samples_split,
+                        min_impurity_decrease: 0.0,
+                        max_features: Some(max_features),
+                        seed: config.seed.wrapping_add(t as u64 + 1),
+                    };
+                    DecisionTree::fit_row_major(&sample, &cart_config)
+                })
+                .collect();
+            let reference = RandomForest { trees, num_classes };
+            prop_assert_eq!(format!("{forest:?}"), format!("{reference:?}"));
+        }
+    }
 
     fn noisy_clusters(seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -14,6 +14,12 @@
 //! * [`RandomForest`] — a bagged ensemble of CART trees with per-split
 //!   feature subsampling (`rf`).
 //!
+//! Both tree models grow from one column-major copy of the features (one
+//! per forest, not per tree). A split search reads only a feature's
+//! non-zero values at the node and scans all zeros as one block, which
+//! suits sparse bag-of-words features; it picks the same splits, bit for
+//! bit, as sorting every sample (see [`cart`]).
+//!
 //! Supporting modules:
 //!
 //! * [`dataset`] — the dense `(features, label)` training-set representation

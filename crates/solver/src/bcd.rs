@@ -30,7 +30,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Fast EMA window (sweeps) for the stagnation check.
@@ -120,8 +119,6 @@ pub struct BcdSolver {
 struct DescendControl<'c> {
     /// Sweep budget of this descent.
     max_sweeps: usize,
-    /// Cooperative cancellation flag, checked at every sweep boundary.
-    cancel: Option<&'c AtomicBool>,
     /// Objective of the incumbent this descent must plausibly beat;
     /// `None` disables the stagnation abort.
     abort_against: Option<f64>,
@@ -227,7 +224,7 @@ impl BcdSolver {
     /// Runs block coordinate descent and returns the best solution across
     /// restarts.
     pub fn solve(&self, problem: &HashingProblem) -> HashingSolution {
-        self.solve_inner(problem, None, None)
+        self.solve_inner(problem, None)
     }
 
     /// Runs block coordinate descent warm-started from `initial`: restart 0
@@ -238,7 +235,7 @@ impl BcdSolver {
     /// element — callers re-solving after the element set changed map their
     /// incumbent onto the new universe first.
     pub fn solve_from(&self, problem: &HashingProblem, initial: &[usize]) -> HashingSolution {
-        self.solve_inner(problem, Some(Self::clamp_warm(problem, initial)), None)
+        self.solve_inner(problem, Some(Self::clamp_warm(problem, initial)))
     }
 
     /// Runs block coordinate descent warm-started from an incumbent
@@ -250,24 +247,6 @@ impl BcdSolver {
         incumbent: &HashingSolution,
     ) -> HashingSolution {
         self.solve_from(problem, &incumbent.assignment)
-    }
-
-    /// Like [`BcdSolver::solve`] / [`BcdSolver::solve_from`] but
-    /// cooperatively cancellable: the descent checks `cancel` at every sweep
-    /// boundary and returns its best-so-far solution once the flag is raised.
-    /// Restart 0 always runs (possibly for zero sweeps), so a valid
-    /// assignment comes back even if the flag was raised before the call.
-    pub fn solve_cancellable(
-        &self,
-        problem: &HashingProblem,
-        warm: Option<&[usize]>,
-        cancel: &AtomicBool,
-    ) -> HashingSolution {
-        self.solve_inner(
-            problem,
-            warm.map(|initial| Self::clamp_warm(problem, initial)),
-            Some(cancel),
-        )
     }
 
     fn clamp_warm(problem: &HashingProblem, initial: &[usize]) -> Vec<usize> {
@@ -290,7 +269,6 @@ impl BcdSolver {
         &self,
         problem: &HashingProblem,
         mut warm: Option<Vec<usize>>,
-        cancel: Option<&AtomicBool>,
     ) -> HashingSolution {
         assert!(!problem.is_empty(), "cannot solve an empty problem");
         let start = Instant::now();
@@ -306,13 +284,8 @@ impl BcdSolver {
         // once and share them across every restart of this solve.
         let pairs = (problem.uses_features() && problem.len() <= PAIR_CACHE_LIMIT)
             .then(|| PairwiseDistances::new(problem));
-        let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
 
         for restart in 0..restarts {
-            // Restart 0 always runs so there is a result to return.
-            if restart > 0 && cancelled() {
-                break;
-            }
             let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(restart as u64));
             let assignment = match warm.take() {
                 // Restart 0 descends from the incumbent.
@@ -325,7 +298,6 @@ impl BcdSolver {
                 &mut rng,
                 DescendControl {
                     max_sweeps: self.config.max_iterations,
-                    cancel,
                     abort_against: best.as_ref().map(|b| b.objective),
                     abort_after: self.config.abort_after,
                     pairs: pairs.as_ref(),
@@ -350,7 +322,7 @@ impl BcdSolver {
 
         // Reallocate the budget freed by aborted restarts to the incumbent:
         // if its descent ran out of sweeps before converging, let it continue.
-        if budget_pool > 0 && !cancelled() {
+        if budget_pool > 0 {
             if let Some(incumbent) = best.take() {
                 if incumbent.converged {
                     best = Some(incumbent);
@@ -362,7 +334,6 @@ impl BcdSolver {
                         &mut rng,
                         DescendControl {
                             max_sweeps: budget_pool,
-                            cancel,
                             abort_against: None,
                             abort_after: usize::MAX,
                             pairs: pairs.as_ref(),
@@ -421,9 +392,6 @@ impl BcdSolver {
         let mut aborted = false;
 
         for sweep in 0..control.max_sweeps {
-            if control.cancel.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                break;
-            }
             order.shuffle(rng);
             for &i in &order {
                 let (bucket, _delta) = inc.best_move(i);
@@ -807,41 +775,5 @@ mod tests {
         })
         .solve(&p);
         assert_eq!(sol.stats.restarts_aborted, 0);
-    }
-
-    #[test]
-    fn cancellation_returns_a_valid_solution_immediately() {
-        let p = noisy_problem(150, 8, 9);
-        let cancel = AtomicBool::new(true); // raised before the solve starts
-        let sol = BcdSolver::new(BcdConfig {
-            restarts: 16,
-            ..BcdConfig::default()
-        })
-        .solve_cancellable(&p, None, &cancel);
-        // The first descent still runs (a result must exist), but no further
-        // restarts are attempted.
-        assert_eq!(sol.assignment.len(), p.len());
-        assert!(sol.assignment.iter().all(|&j| j < p.buckets));
-        let uncancelled = BcdSolver::new(BcdConfig {
-            restarts: 16,
-            ..BcdConfig::default()
-        })
-        .solve(&p);
-        assert!(sol.stats.iterations <= uncancelled.stats.iterations);
-    }
-
-    #[test]
-    fn solve_cancellable_matches_solve_when_never_cancelled() {
-        let p = clustered_problem(0.5);
-        let cfg = BcdConfig {
-            restarts: 3,
-            seed: 21,
-            ..BcdConfig::default()
-        };
-        let cancel = AtomicBool::new(false);
-        let cancellable = BcdSolver::new(cfg).solve_cancellable(&p, None, &cancel);
-        let plain = BcdSolver::new(cfg).solve(&p);
-        assert_eq!(cancellable.assignment, plain.assignment);
-        assert_eq!(cancellable.objective, plain.objective);
     }
 }

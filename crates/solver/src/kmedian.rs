@@ -28,7 +28,6 @@
 
 use crate::problem::{HashingProblem, HashingSolution, SolverStats};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Which within-cluster deviation the DP minimizes.
@@ -167,30 +166,6 @@ pub fn kmedian_dp_with(
     cost: ClusterCost,
     strategy: DpStrategy,
 ) -> KMedianResult {
-    kmedian_dp_inner(values, k, cost, strategy, None).expect("uncancelled DP always completes")
-}
-
-/// Cooperatively cancellable variant of [`kmedian_dp_with`]: the DP checks
-/// `cancel` once per cluster row (and periodically inside a row) and returns
-/// `None` as soon as the flag is raised, so a caller that no longer needs
-/// the result stops paying for the table.
-pub fn kmedian_dp_cancellable(
-    values: &[f64],
-    k: usize,
-    cost: ClusterCost,
-    strategy: DpStrategy,
-    cancel: &AtomicBool,
-) -> Option<KMedianResult> {
-    kmedian_dp_inner(values, k, cost, strategy, Some(cancel))
-}
-
-fn kmedian_dp_inner(
-    values: &[f64],
-    k: usize,
-    cost: ClusterCost,
-    strategy: DpStrategy,
-    cancel: Option<&AtomicBool>,
-) -> Option<KMedianResult> {
     assert!(k > 0, "k must be positive");
     assert!(
         values.iter().all(|v| v.is_finite()),
@@ -198,12 +173,12 @@ fn kmedian_dp_inner(
     );
     let n = values.len();
     if n == 0 {
-        return Some(KMedianResult {
+        return KMedianResult {
             assignment: Vec::new(),
             cost: 0.0,
             clusters_used: 0,
             cells_evaluated: 0,
-        });
+        };
     }
     let k = k.min(n);
 
@@ -233,20 +208,11 @@ fn kmedian_dp_inner(
     // reused across every cluster row: (lo, hi, opt_lo, opt_hi).
     let mut stack: Vec<(usize, usize, usize, usize)> = Vec::new();
 
-    let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
     for j in 1..k {
-        if cancelled() {
-            return None;
-        }
         let split_row = &mut split[j * n..(j + 1) * n];
         match strategy {
             DpStrategy::Quadratic => {
                 for i in 0..n {
-                    // Large rows can take long; poll cancellation inside the
-                    // row too.
-                    if i & 0x3FF == 0 && cancelled() {
-                        return None;
-                    }
                     if i < j {
                         // fewer points than clusters: zero cost, each its own
                         dp_cur[i] = 0.0;
@@ -280,12 +246,7 @@ fn kmedian_dp_inner(
                 // on the hoisted work stack.
                 stack.clear();
                 stack.push((0, n - 1, 1, n - 1));
-                let mut polls = 0u32;
                 while let Some((lo, hi, opt_lo, opt_hi)) = stack.pop() {
-                    polls = polls.wrapping_add(1);
-                    if polls & 0xFF == 0 && cancelled() {
-                        return None;
-                    }
                     let mid = lo + (hi - lo) / 2;
                     if mid < j {
                         dp_cur[mid] = 0.0;
@@ -346,12 +307,12 @@ fn kmedian_dp_inner(
         assignment[orig] = cluster_of_sorted[pos];
     }
 
-    Some(KMedianResult {
+    KMedianResult {
         assignment,
         cost: dp_prev[n - 1],
         clusters_used: boundaries.len(),
         cells_evaluated: cells,
-    })
+    }
 }
 
 /// Solves a [`HashingProblem`] with `λ = 1` (or ignoring features) using the
@@ -709,34 +670,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn cancelled_dp_returns_none() {
-        let values: Vec<f64> = (0..200).map(|i| i as f64).collect();
-        let cancel = AtomicBool::new(true);
-        let r = kmedian_dp_cancellable(
-            &values,
-            8,
-            ClusterCost::MedianAbs,
-            DpStrategy::DivideAndConquer,
-            &cancel,
-        );
-        assert!(r.is_none());
-
-        // An unraised flag must not change the result.
-        let cancel = AtomicBool::new(false);
-        let live = kmedian_dp_cancellable(
-            &values,
-            8,
-            ClusterCost::MedianAbs,
-            DpStrategy::DivideAndConquer,
-            &cancel,
-        )
-        .expect("uncancelled run completes");
-        let reference = kmedian_dp(&values, 8);
-        assert_eq!(live.assignment, reference.assignment);
-        assert!((live.cost - reference.cost).abs() < 1e-12);
     }
 
     #[test]

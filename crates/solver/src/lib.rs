@@ -60,6 +60,6 @@ pub use bcd::{BcdConfig, BcdSolver, InitStrategy};
 pub use brute::brute_force;
 pub use exact::{ExactConfig, ExactSolver};
 pub use incremental::{IncrementalObjective, PairwiseDistances};
-pub use kmedian::{kmedian_dp, kmedian_dp_cancellable, KMedianResult};
+pub use kmedian::{kmedian_dp, KMedianResult};
 pub use problem::{BucketStats, HashingProblem, HashingSolution, SolverStats};
 pub use progress::{Ema, Ema2};

@@ -146,7 +146,8 @@ pub struct StreamStats {
 /// `(x_i, bucket_i)` pairs (Sections 4 and 5).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamPrefix {
-    stream: Stream,
+    /// Number of arrivals `|S0|`: the sum of [`Self::frequencies`].
+    arrivals: usize,
     /// Distinct elements of the prefix in first-appearance order.
     elements: Vec<StreamElement>,
     /// Empirical frequency of each distinct element, aligned with `elements`.
@@ -179,7 +180,7 @@ impl StreamPrefix {
             }
         }
         StreamPrefix {
-            stream,
+            arrivals: stream.len(),
             elements,
             frequencies,
             index,
@@ -193,35 +194,27 @@ impl StreamPrefix {
         let mut elements = Vec::with_capacity(pairs.len());
         let mut frequencies = Vec::with_capacity(pairs.len());
         let mut index = HashMap::with_capacity(pairs.len());
-        let mut stream = Stream::new();
+        let mut arrivals = 0usize;
         for (element, count) in pairs {
             if count == 0 {
                 continue;
             }
+            arrivals += usize::try_from(count).expect("prefix arrival count fits in usize");
             if let Some(&i) = index.get(&element.id) {
                 let i: usize = i;
                 frequencies[i] += count;
                 continue;
             }
             index.insert(element.id, elements.len());
-            // Materialize a single arrival in the backing stream so that
-            // `as_stream()` still reflects membership; frequencies come from
-            // the aggregated counts.
-            stream.push(element.clone());
             elements.push(element);
             frequencies.push(count);
         }
         StreamPrefix {
-            stream,
+            arrivals,
             elements,
             frequencies,
             index,
         }
-    }
-
-    /// The raw prefix stream `S0`.
-    pub fn as_stream(&self) -> &Stream {
-        &self.stream
     }
 
     /// Number of distinct elements `n = |U0|`.
@@ -233,7 +226,7 @@ impl StreamPrefix {
     /// Total number of arrivals in the prefix `|S0|`.
     #[inline]
     pub fn arrival_len(&self) -> usize {
-        self.stream.len()
+        self.arrivals
     }
 
     /// Distinct elements in first-appearance order.
@@ -370,6 +363,19 @@ mod tests {
         assert_eq!(p.frequency_of(ElementId(1)), 7);
         assert_eq!(p.frequency_of(ElementId(2)), 3);
         assert_eq!(p.frequency_of(ElementId(4)), 0);
+    }
+
+    #[test]
+    fn prefix_from_counts_arrival_len_sums_the_counts() {
+        let p = StreamPrefix::from_counts(vec![
+            (StreamElement::without_features(1u64), 5),
+            (StreamElement::without_features(2u64), 3),
+            (StreamElement::without_features(1u64), 2),
+        ]);
+        assert_eq!(p.arrival_len(), 10);
+        assert_eq!(p.arrival_len() as u64, p.frequencies().iter().sum::<u64>());
+        let sampled = p.sample_by_frequency(1, 3);
+        assert_eq!(sampled.arrival_len() as u64, sampled.frequencies()[0]);
     }
 
     #[test]
