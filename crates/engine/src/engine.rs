@@ -9,7 +9,7 @@ use crate::snapshot::{
 };
 use crate::worker::{apply_batch, spawn_worker, ShardHandle, WorkerConfig};
 use opthash::MassLedger;
-use opthash_stream::{SpaceReport, Stream, StreamElement};
+use opthash_stream::{Stream, StreamElement};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -456,8 +456,7 @@ enum DispatchOutcome {
 ///
 /// # Memory
 ///
-/// The engine keeps `2 × shards + 3` copies of the backend's state, which
-/// is what [`IngestEngine::space_report`] charges:
+/// The engine keeps `2 × shards + 3` copies of the backend's state:
 ///
 /// * the engine's base backend;
 /// * the snapshot hub's copy of that base, which readers merge onto;
@@ -1120,16 +1119,6 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             Some(err) => Err(err),
             None => Ok(retired),
         }
-    }
-
-    /// Itemized memory the engine keeps resident for the backend's state:
-    /// `2 × shards + 3` copies of one backend's report, every copy listed
-    /// under "Memory" in the type-level docs. Batch buffers, in-flight
-    /// batches, reader caches and post-swap retained deltas are not
-    /// charged.
-    pub fn space_report(&self) -> SpaceReport {
-        let copy = self.base.space_report();
-        SpaceReport::saturating_sum(std::iter::repeat_n(&copy, 2 * self.handles.len() + 3))
     }
 
     /// The wrapped backend's report name.

@@ -14,12 +14,12 @@
 //!   conservation invariant ([`RegistryStats::unaccounted_mass`]) proving
 //!   no admitted count was ever silently lost.
 //! * **Governor** ([`governor`]): when the fleet exceeds its
-//!   [`SpaceBudget`](opthash_stream::SpaceBudget), cold tenants are
-//!   *degraded* — their Count-Min/Count-Sketch grids folded to half width,
-//!   which is mathematically exact (the folded sketch equals the sketch the
-//!   same stream would have built at that width) and conserves all counted
-//!   mass — and hot degraded tenants are promoted back to full width when
-//!   headroom returns.
+//!   [`SpaceBudget`](opthash_stream::SpaceBudget), it takes two rungs. It
+//!   first folds the coldest foldable tenant's Count-Min/Count-Sketch grid
+//!   to half width, which is mathematically exact (the folded sketch equals
+//!   the sketch the same stream would have built at that width) and
+//!   conserves all counted mass. Only when no grid can fold further does it
+//!   evict the coldest tenant, ledgering its mass as evicted.
 //! * **Server** ([`SketchServer`]): a dependency-free TCP endpoint speaking
 //!   a one-line-per-command text protocol ([`protocol`]) with clean,
 //!   join-everything shutdown.

@@ -5,8 +5,8 @@
 //!
 //! | Command | Response | Meaning |
 //! |---|---|---|
-//! | `CREATE <tenant> <spec> [sharded:<n>]` | `OK t<id>` | Register a tenant (spec grammar: [`BackendSpec`]); `1 ≤ n ≤` [`MAX_SHARDS`] |
-//! | `ADD <tenant> <id> [<weight>]` | `OK` | Ingest `weight` (default 1) arrivals of element `<id>` |
+//! | `CREATE <tenant> <spec>` | `OK t<id>` | Register a tenant (spec grammar: [`BackendSpec`]) |
+//! | `ADD <tenant> <id> [<weight>]` | `OK` | Ingest `weight` (default 1) arrivals of element `<id>`; refused once the fleet's admitted mass would pass [`SketchRegistry::MAX_MASS`] |
 //! | `QUERY <tenant> <id>` | `OK <estimate>` | Estimated frequency of element `<id>` |
 //! | `STATS` | `OK k=v ...` | Registry-wide counters |
 //! | `STATS <tenant>` | `OK k=v ...` | One tenant's report |
@@ -20,23 +20,15 @@
 use crate::registry::{BackendSpec, RegistryError, SketchRegistry};
 use opthash_stream::StreamElement;
 
-/// Largest shard count a `CREATE … sharded:<n>` line may ask for. Every
-/// shard costs a worker thread and a pre-aggregation buffer (256 KiB at the
-/// default batch capacity), so one unbounded line could demand gigabytes
-/// and thousands of threads; larger requests are answered `ERR`.
-pub const MAX_SHARDS: usize = 64;
-
 /// A parsed line-protocol command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// `CREATE <tenant> <spec> [sharded:<n>]`
+    /// `CREATE <tenant> <spec>`
     Create {
         /// Tenant name.
         tenant: String,
         /// Backend spec.
         spec: BackendSpec,
-        /// `Some(n)` when `sharded:<n>` was given.
-        shards: Option<usize>,
     },
     /// `ADD <tenant> <id> [<weight>]`
     Add {
@@ -91,26 +83,8 @@ impl Command {
                     .next()
                     .ok_or_else(|| "CREATE expects a backend spec".to_owned())?;
                 let spec = BackendSpec::parse(spec_text).map_err(|e| e.to_string())?;
-                let shards = match fields.next() {
-                    None => None,
-                    Some(opt) => match opt.strip_prefix("sharded:") {
-                        Some(n) => Some(
-                            n.parse::<usize>()
-                                .ok()
-                                .filter(|n| (1..=MAX_SHARDS).contains(n))
-                                .ok_or_else(|| {
-                                    format!("sharded:<n> expects an integer in 1..={MAX_SHARDS}")
-                                })?,
-                        ),
-                        None => return Err(format!("unknown CREATE option '{opt}'")),
-                    },
-                };
                 reject_trailing(fields, "CREATE")?;
-                Ok(Command::Create {
-                    tenant,
-                    spec,
-                    shards,
-                })
+                Ok(Command::Create { tenant, spec })
             }
             "ADD" => {
                 let tenant = expect_name("ADD")?;
@@ -157,20 +131,10 @@ impl Command {
     /// answered with `OK bye` here for symmetry.
     pub fn execute(&self, registry: &mut SketchRegistry) -> String {
         match self {
-            Command::Create {
-                tenant,
-                spec,
-                shards,
-            } => {
-                let created = match shards {
-                    None => registry.create(tenant, *spec),
-                    Some(shards) => registry.create_sharded(tenant, *spec, *shards),
-                };
-                match created {
-                    Ok(id) => format!("OK {id}"),
-                    Err(err) => err_line(&err),
-                }
-            }
+            Command::Create { tenant, spec } => match registry.create(tenant, *spec) {
+                Ok(id) => format!("OK {id}"),
+                Err(err) => err_line(&err),
+            },
             Command::Add { tenant, id, weight } => {
                 let element = StreamElement::without_features(*id);
                 match registry.ingest_weighted(tenant, &element, *weight) {
@@ -190,8 +154,8 @@ impl Command {
                 format!(
                     "OK tenants={} created={} dropped={} elements={} mass={} held={} \
                      dropped_mass={} evicted_mass={} queries={} hits={} misses={} \
-                     degradations={} folds={} collapses={} demotions={} promotions={} \
-                     evictions={} passes={} live_bytes={} budget_bytes={} unaccounted={}",
+                     folds={} evictions={} passes={} live_bytes={} budget_bytes={} \
+                     unaccounted={}",
                     s.live_tenants,
                     s.tenants_created,
                     s.tenants_dropped,
@@ -203,11 +167,7 @@ impl Command {
                     s.queries,
                     s.query_hits,
                     s.query_misses,
-                    s.degradations,
                     s.folds,
-                    s.collapses,
-                    s.demotions,
-                    s.promotions,
                     s.evictions,
                     s.governor_passes,
                     s.live_bytes,
@@ -219,16 +179,13 @@ impl Command {
                 tenant: Some(tenant),
             } => match registry.tenant_report(tenant) {
                 Some(report) => format!(
-                    "OK id={} backend={} bytes={} mass={} elements={} folds={} \
-                     promoted={} sharded={}",
+                    "OK id={} backend={} bytes={} mass={} elements={} folds={}",
                     report.id,
                     report.backend,
                     report.bytes,
                     report.mass,
                     report.elements,
                     report.fold_steps,
-                    report.promoted,
-                    report.sharded,
                 ),
                 None => err_line(&RegistryError::UnknownTenant {
                     name: tenant.clone(),
@@ -278,18 +235,16 @@ mod tests {
                     width: 128,
                     depth: 4
                 },
-                shards: None,
             }
         );
         assert_eq!(
-            Command::parse("create flows count-sketch:64x5 sharded:4").unwrap(),
+            Command::parse("create flows count-sketch:64x5").unwrap(),
             Command::Create {
                 tenant: "flows".into(),
                 spec: BackendSpec::CountSketch {
                     width: 64,
                     depth: 5
                 },
-                shards: Some(4),
             }
         );
         assert_eq!(
@@ -331,14 +286,6 @@ mod tests {
                 tenant: "flows".into()
             }
         );
-        assert_eq!(
-            Command::parse("CREATE big count-min sharded:64").unwrap(),
-            Command::Create {
-                tenant: "big".into(),
-                spec: BackendSpec::parse("count-min").unwrap(),
-                shards: Some(MAX_SHARDS),
-            }
-        );
         assert_eq!(Command::parse("PING").unwrap(), Command::Ping);
         assert_eq!(Command::parse("quit").unwrap(), Command::Quit);
 
@@ -348,10 +295,8 @@ mod tests {
             "CREATE",
             "CREATE t",
             "CREATE t bloom:9",
-            "CREATE t count-min sharded:0",
-            "CREATE t count-min sharded:65",
-            "CREATE t count-min:64x1 sharded:100000",
-            "CREATE t count-min shards:4",
+            "CREATE t count-min sharded:2",
+            "CREATE t count-min extra",
             "ADD t",
             "ADD t notanumber",
             "ADD t 1 -3",
@@ -382,6 +327,42 @@ mod tests {
         let stats = registry.stats();
         assert_eq!(stats.tenants_created, 1);
         assert_eq!(stats.tenants_dropped, 1);
+        assert_eq!(stats.unaccounted_mass(), 0);
+    }
+
+    #[test]
+    fn weights_past_the_mass_limit_change_nothing() {
+        let mut registry = SketchRegistry::unbounded();
+        let mut run = |line: &str| Command::parse(line).unwrap().execute(&mut registry);
+        assert_eq!(run("CREATE cm count-min:64x4"), "OK t0");
+        assert_eq!(run("CREATE cs count-sketch:64x4"), "OK t1");
+        assert_eq!(run("ADD cm 1 5"), "OK");
+        let answers = [run("QUERY cm 1"), run("QUERY cs 1")];
+        let stats = run("STATS");
+        assert!(stats.ends_with(" unaccounted=0"), "{stats}");
+        // 2^63 is one past `MAX_MASS` on an empty fleet.
+        for line in [
+            "ADD cm 1 9223372036854775808",
+            "ADD cs 1 9223372036854775808",
+            "ADD cm 1 18446744073709551615",
+        ] {
+            assert!(run(line).starts_with("ERR weight "), "{line}");
+        }
+        assert_eq!(run("STATS"), stats);
+        assert_eq!([run("QUERY cm 1"), run("QUERY cs 1")], answers);
+        assert_eq!(answers[0], "OK 5");
+
+        // Weights that pass the limit only together: the one that would
+        // cross it is refused, and the fleet can fill to exactly the limit.
+        let rest = SketchRegistry::MAX_MASS - 5;
+        assert_eq!(run(&format!("ADD cs 2 {}", rest - 300)), "OK");
+        assert!(run("ADD cm 1 301").starts_with("ERR weight 301 "));
+        assert_eq!(run("ADD cs 2 300"), "OK");
+        assert!(run("ADD cm 1 1").starts_with("ERR weight 1 "));
+        assert_eq!(run("QUERY cm 1"), "OK 5");
+        assert_eq!(run("QUERY cs 2"), format!("OK {}", rest as f64));
+        let stats = registry.stats();
+        assert_eq!(stats.ingested_mass, SketchRegistry::MAX_MASS);
         assert_eq!(stats.unaccounted_mass(), 0);
     }
 }

@@ -2,9 +2,8 @@
 //! thousands of named estimators under one global memory budget.
 
 use crate::governor::GovernorOutcome;
-use opthash_engine::{EngineConfig, EngineError, IngestEngine, SketchBackend};
 use opthash_sketch::{CountMinSketch, CountSketch, MisraGries};
-use opthash_stream::{SpaceBudget, SpaceReport, StreamElement};
+use opthash_stream::{ElementId, FrequencyEstimator, SpaceBudget, SpaceReport, StreamElement};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -138,8 +137,7 @@ impl BackendSpec {
         }
     }
 
-    /// Bytes of a freshly built estimator of this spec (the cost the
-    /// governor charges a promotion).
+    /// Bytes of a freshly built estimator of this spec.
     pub fn grid_bytes(&self) -> usize {
         self.build(0).space_report().total_bytes()
     }
@@ -158,8 +156,8 @@ impl fmt::Display for BackendSpec {
 }
 
 /// A concrete per-tenant estimator: the closed set of backends the registry
-/// can host behind one type (so tenants of different kinds coexist in one
-/// map, and an [`IngestEngine`] can wrap any of them).
+/// can host behind one type, so tenants of different kinds coexist in one
+/// map.
 #[derive(Debug, Clone)]
 pub enum TenantSketch {
     /// Count-Min Sketch.
@@ -180,25 +178,18 @@ impl TenantSketch {
         }
     }
 
-    /// Current grid width, for the foldable backends.
-    pub fn width(&self) -> Option<usize> {
-        match self {
-            TenantSketch::CountMin(s) => Some(s.width()),
-            TenantSketch::CountSketch(s) => Some(s.width()),
-            TenantSketch::MisraGries(_) => None,
-        }
-    }
-
     /// Whether one more half-width fold is possible without dropping below
     /// `min_width`.
     pub fn can_fold(&self, min_width: usize) -> bool {
-        match self.width() {
-            Some(w) => w % 2 == 0 && w / 2 >= min_width,
-            None => false,
-        }
+        let width = match self {
+            TenantSketch::CountMin(s) => s.width(),
+            TenantSketch::CountSketch(s) => s.width(),
+            TenantSketch::MisraGries(_) => return false,
+        };
+        width % 2 == 0 && width / 2 >= min_width
     }
 
-    /// Folds the grid to half its width (the governor's degradation step).
+    /// Folds the grid to half its width (the governor's fold rung).
     /// Returns `false` — and does nothing — for non-foldable backends or
     /// when the fold would drop below `min_width`. Never loses counted mass
     /// (see [`CountMinSketch::fold_to_width`]), only precision.
@@ -214,20 +205,8 @@ impl TenantSketch {
         true
     }
 
-    /// Folds the grid to exactly `target_width` (must divide the current
-    /// width). Used when collapsing a promoted tenant's full-width live
-    /// sketch back onto its narrower frozen history.
-    pub(crate) fn fold_to(&mut self, target_width: usize) {
-        match self {
-            TenantSketch::CountMin(s) => s.fold_to_width(target_width),
-            TenantSketch::CountSketch(s) => s.fold_to_width(target_width),
-            TenantSketch::MisraGries(_) => unreachable!("misra-gries is never folded"),
-        }
-    }
-}
-
-impl SketchBackend for TenantSketch {
-    fn ingest(&mut self, element: &StreamElement, count: u64) {
+    /// Adds `count` arrivals of `element`.
+    pub fn add(&mut self, element: &StreamElement, count: u64) {
         match self {
             TenantSketch::CountMin(s) => s.add(element.id, count),
             TenantSketch::CountSketch(s) => s.add(element.id, count),
@@ -235,53 +214,27 @@ impl SketchBackend for TenantSketch {
         }
     }
 
-    fn query(&self, element: &StreamElement) -> f64 {
+    /// Estimated frequency of `element`, never negative (a Count Sketch's
+    /// signed median is clamped at 0).
+    pub fn estimate(&self, element: &StreamElement) -> f64 {
         match self {
-            TenantSketch::CountMin(s) => SketchBackend::query(s, element),
-            TenantSketch::CountSketch(s) => SketchBackend::query(s, element),
-            TenantSketch::MisraGries(s) => SketchBackend::query(s, element),
+            TenantSketch::CountMin(s) => s.estimate(element),
+            TenantSketch::CountSketch(s) => s.estimate(element),
+            TenantSketch::MisraGries(s) => s.estimate(element),
         }
     }
 
-    fn fork(&self) -> Self {
-        match self {
-            TenantSketch::CountMin(s) => TenantSketch::CountMin(s.fork()),
-            TenantSketch::CountSketch(s) => TenantSketch::CountSketch(s.fork()),
-            TenantSketch::MisraGries(s) => TenantSketch::MisraGries(s.fork()),
-        }
-    }
-
-    fn merge(&mut self, shard: &Self) {
-        match (self, shard) {
-            (TenantSketch::CountMin(a), TenantSketch::CountMin(b)) => a.merge(b),
-            (TenantSketch::CountSketch(a), TenantSketch::CountSketch(b)) => a.merge(b),
-            (TenantSketch::MisraGries(a), TenantSketch::MisraGries(b)) => a.merge(b),
-            // Forks preserve the variant, so the registry can never reach
-            // this arm; it exists only because the trait is variant-blind.
-            _ => panic!("cannot merge tenant sketches of different backends"),
-        }
-    }
-
-    fn space_report(&self) -> SpaceReport {
+    /// Itemized memory usage of the estimator.
+    pub fn space_report(&self) -> SpaceReport {
         match self {
             TenantSketch::CountMin(s) => s.space_report(),
             TenantSketch::CountSketch(s) => s.space_report(),
             TenantSketch::MisraGries(s) => s.space_report(),
         }
     }
-
-    fn backend_name(&self) -> &'static str {
-        match self {
-            TenantSketch::CountMin(_) => "count-min",
-            TenantSketch::CountSketch(_) => "count-sketch",
-            TenantSketch::MisraGries(_) => "misra-gries",
-        }
-    }
 }
 
-/// Errors surfaced by the fallible [`SketchRegistry`] operations. Engine
-/// failures (overload, poisoned shards, zero-weight updates) pass through
-/// as typed [`EngineError`]s rather than being flattened into strings.
+/// Errors surfaced by the fallible [`SketchRegistry`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RegistryError {
@@ -303,8 +256,21 @@ pub enum RegistryError {
         /// What was wrong with it.
         reason: &'static str,
     },
-    /// A tenant's underlying ingest engine reported a typed failure.
-    Engine(EngineError),
+    /// An update carried weight 0: it would count nothing, so it is
+    /// refused rather than silently dropped (counted in
+    /// [`RegistryStats::zero_weight_rejections`]).
+    ZeroWeight {
+        /// ID of the element whose update carried weight 0.
+        id: ElementId,
+    },
+    /// Admitting the update would take the fleet's admitted mass past
+    /// [`SketchRegistry::MAX_MASS`], the most a Count Sketch counter holds.
+    MassOverflow {
+        /// The refused weight.
+        weight: u64,
+        /// Mass admitted across the fleet before this update.
+        admitted: u64,
+    },
 }
 
 impl fmt::Display for RegistryError {
@@ -317,38 +283,28 @@ impl fmt::Display for RegistryError {
             RegistryError::InvalidSpec { spec, reason } => {
                 write!(f, "invalid backend spec '{spec}': {reason}")
             }
-            RegistryError::Engine(err) => write!(f, "engine error: {err}"),
+            RegistryError::ZeroWeight { id } => {
+                write!(f, "zero-weight update for element {id} rejected")
+            }
+            RegistryError::MassOverflow { weight, admitted } => write!(
+                f,
+                "weight {weight} would take the admitted mass {admitted} past {}",
+                SketchRegistry::MAX_MASS
+            ),
         }
     }
 }
 
-impl std::error::Error for RegistryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RegistryError::Engine(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<EngineError> for RegistryError {
-    fn from(err: EngineError) -> Self {
-        RegistryError::Engine(err)
-    }
-}
+impl std::error::Error for RegistryError {}
 
 /// Configuration of a [`SketchRegistry`] and its memory-budget governor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegistryConfig {
     /// Global byte budget across all tenants (`None` = ungoverned).
     pub budget: Option<SpaceBudget>,
-    /// Narrowest width the governor may fold a grid down to; a cold tenant
-    /// already at the floor is evicted instead of degraded further.
+    /// Narrowest width the governor may fold a grid down to; once no
+    /// tenant can fold further, the coldest is evicted.
     pub min_width: usize,
-    /// Fraction of the budget below which the governor may promote hot
-    /// degraded tenants back to full width (hysteresis: promotion stops well
-    /// before the shedding threshold so the two never oscillate).
-    pub promote_headroom: f64,
     /// Registry operations between automatic governor passes.
     pub govern_interval: u64,
     /// Base seed for tenant hash functions; each tenant derives its own
@@ -361,7 +317,6 @@ impl Default for RegistryConfig {
         RegistryConfig {
             budget: None,
             min_width: 64,
-            promote_headroom: 0.6,
             govern_interval: 1024,
             default_seed: 0x5EED,
         }
@@ -375,15 +330,9 @@ impl RegistryConfig {
         self
     }
 
-    /// Sets the degradation width floor.
+    /// Sets the fold width floor.
     pub fn min_width(mut self, min_width: usize) -> Self {
         self.min_width = min_width.max(1);
-        self
-    }
-
-    /// Sets the promotion headroom fraction (clamped to `[0, 1]`).
-    pub fn promote_headroom(mut self, fraction: f64) -> Self {
-        self.promote_headroom = fraction.clamp(0.0, 1.0);
         self
     }
 
@@ -398,30 +347,21 @@ impl RegistryConfig {
         self.default_seed = seed;
         self
     }
+
+    /// The hash seed of tenant `id`: distinct per tenant, and derived
+    /// deterministically so a registry rebuilt from the same config and
+    /// creation order reproduces identical estimators.
+    pub(crate) fn tenant_seed(&self, id: TenantId) -> u64 {
+        self.default_seed
+            .wrapping_add(id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
 }
 
-/// How a tenant's estimator is driven.
-pub(crate) enum TenantState {
-    /// A bare estimator updated in place — the default, and the only
-    /// representation cheap enough for thousands of cold tenants.
-    Direct(TenantSketch),
-    /// A sharded [`IngestEngine`] for tenants hot enough to need parallel
-    /// batch application: one worker thread per shard, parked when idle.
-    Sharded(Box<IngestEngine<TenantSketch>>),
-    /// Transient placeholder while a governor step rebuilds the state;
-    /// never observable through the public API.
-    Retired,
-}
-
-/// One registered tenant.
+/// One registered tenant: a bare estimator and its ledger.
 pub(crate) struct Tenant {
     pub(crate) id: TenantId,
     pub(crate) spec: BackendSpec,
-    pub(crate) seed: u64,
-    pub(crate) state: TenantState,
-    /// Frozen history of a *promoted* tenant: the narrow folded sketch its
-    /// pre-promotion counts live in. Queries sum frozen + live estimates.
-    pub(crate) frozen: Option<TenantSketch>,
+    pub(crate) sketch: TenantSketch,
     /// Count mass admitted for this tenant (registry-side ledger).
     pub(crate) mass: u64,
     /// Arrivals admitted for this tenant.
@@ -431,74 +371,16 @@ pub(crate) struct Tenant {
     pub(crate) touches: u64,
     /// Registry logical clock at this tenant's last operation.
     pub(crate) last_touch: u64,
-    /// Cached accounted bytes (refreshed on every structural change; all
-    /// hosted backends have ingest-invariant footprints).
+    /// Cached accounted bytes, refreshed on every fold (all hosted
+    /// backends have ingest-invariant footprints).
     pub(crate) bytes: usize,
-    /// Half-width folds applied by the governor since creation/promotion.
+    /// Half-width folds applied by the governor since creation.
     pub(crate) fold_steps: u32,
 }
 
 impl Tenant {
-    fn ingest(&mut self, element: &StreamElement, count: u64) -> Result<(), RegistryError> {
-        match &mut self.state {
-            TenantState::Direct(sketch) => {
-                sketch.ingest(element, count);
-                Ok(())
-            }
-            TenantState::Sharded(engine) => {
-                engine.ingest_weighted(element, count)?;
-                Ok(())
-            }
-            TenantState::Retired => unreachable!("retired state is transient"),
-        }
-    }
-
-    fn query(&mut self, element: &StreamElement) -> Result<f64, RegistryError> {
-        let frozen = self
-            .frozen
-            .as_ref()
-            .map_or(0.0, |sketch| SketchBackend::query(sketch, element));
-        let live = match &mut self.state {
-            TenantState::Direct(sketch) => SketchBackend::query(sketch, element),
-            TenantState::Sharded(engine) => engine.query_synced(element)?,
-            TenantState::Retired => unreachable!("retired state is transient"),
-        };
-        Ok(frozen + live)
-    }
-
-    /// Count mass actually held by the tenant's estimator state — audited
-    /// against the registry ledger by [`RegistryStats::unaccounted_mass`].
-    pub(crate) fn held_mass(&self) -> u64 {
-        let frozen = self.frozen.as_ref().map_or(0, TenantSketch::total_mass);
-        frozen
-            + match &self.state {
-                TenantState::Direct(sketch) => sketch.total_mass(),
-                TenantState::Sharded(engine) => engine.stats().ingested_mass(),
-                TenantState::Retired => 0,
-            }
-    }
-
-    /// Itemized accounted memory: the live estimator (for sharded tenants,
-    /// every copy the engine keeps resident — see
-    /// [`IngestEngine::space_report`]) plus the frozen history, if any.
-    pub(crate) fn space_report(&self) -> SpaceReport {
-        let mut report = match &self.state {
-            TenantState::Direct(sketch) => sketch.space_report(),
-            TenantState::Sharded(engine) => engine.space_report(),
-            TenantState::Retired => SpaceReport::new(),
-        };
-        if let Some(frozen) = &self.frozen {
-            report = report.saturating_add(&frozen.space_report());
-        }
-        report
-    }
-
     pub(crate) fn refresh_bytes(&mut self) {
-        self.bytes = self.space_report().total_bytes();
-    }
-
-    pub(crate) fn is_sharded(&self) -> bool {
-        matches!(self.state, TenantState::Sharded(_))
+        self.bytes = self.sketch.space_report().total_bytes();
     }
 }
 
@@ -515,18 +397,13 @@ pub struct TenantReport {
     pub mass: u64,
     /// Arrivals admitted for this tenant.
     pub elements: u64,
-    /// Governor half-width folds since creation/promotion.
+    /// Governor half-width folds since creation.
     pub fold_steps: u32,
-    /// Whether the tenant currently carries a frozen history (was promoted).
-    pub promoted: bool,
-    /// Whether the tenant is driven through a sharded ingest engine.
-    pub sharded: bool,
 }
 
-/// Counters describing what a [`SketchRegistry`] has done so far, in the
-/// style of [`opthash_engine::EngineStats`]: a consistent snapshot assembled
-/// by [`SketchRegistry::stats`], carrying the registry's conservation
-/// invariant.
+/// Counters describing what a [`SketchRegistry`] has done so far: a
+/// consistent snapshot assembled by [`SketchRegistry::stats`], carrying the
+/// registry's conservation invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegistryStats {
     /// Tenants ever created.
@@ -554,18 +431,9 @@ pub struct RegistryStats {
     pub query_hits: u64,
     /// Queries (and ingests) that named an unknown tenant.
     pub query_misses: u64,
-    /// Governor degradation steps of any kind (folds + collapses +
-    /// demotions).
-    pub degradations: u64,
     /// Half-width grid folds applied to cold tenants.
     pub folds: u64,
-    /// Promoted tenants collapsed back onto their frozen history.
-    pub collapses: u64,
-    /// Sharded tenants demoted to bare estimators.
-    pub demotions: u64,
-    /// Hot degraded tenants promoted back to full width.
-    pub promotions: u64,
-    /// Cold tenants evicted outright (already at the degradation floor).
+    /// Cold tenants evicted outright (no tenant could fold further).
     pub evictions: u64,
     /// Governor passes executed.
     pub governor_passes: u64,
@@ -578,8 +446,7 @@ pub struct RegistryStats {
 impl RegistryStats {
     /// Admitted mass not locatable in the registry: admitted − (held in
     /// live tenants + dropped + evicted). Zero for a healthy registry at
-    /// all times — degradation folds and promotions move mass between
-    /// representations but never lose it.
+    /// all times — governor folds merge counters but never lose mass.
     pub fn unaccounted_mass(&self) -> i128 {
         self.ingested_mass as i128
             - self.held_mass as i128
@@ -603,44 +470,23 @@ impl RegistryStats {
     }
 }
 
-/// Running totals the registry maintains incrementally (cheap enough to
-/// bump on every operation; `stats()` adds the computed fields).
-#[derive(Debug, Default)]
-pub(crate) struct RegistryCounters {
-    pub(crate) tenants_created: u64,
-    pub(crate) tenants_dropped: u64,
-    pub(crate) ingested_elements: u64,
-    pub(crate) ingested_mass: u64,
-    pub(crate) dropped_mass: u64,
-    pub(crate) evicted_mass: u64,
-    pub(crate) zero_weight_rejections: u64,
-    pub(crate) queries: u64,
-    pub(crate) query_hits: u64,
-    pub(crate) query_misses: u64,
-    pub(crate) folds: u64,
-    pub(crate) collapses: u64,
-    pub(crate) demotions: u64,
-    pub(crate) promotions: u64,
-    pub(crate) evictions: u64,
-    pub(crate) governor_passes: u64,
-}
-
 /// A registry of named frequency estimators sharing one machine and one
 /// memory budget.
 ///
 /// Tenants are created from a [`BackendSpec`], routed by name, and queried
 /// through the registry; a built-in governor (see [`SketchRegistry::govern`]
 /// and the [`crate::governor`] module) keeps the fleet's total accounted
-/// bytes under the configured [`SpaceBudget`] by degrading cold tenants —
-/// folding their grids to half width, losing precision but never counted
-/// mass — and promoting hot degraded tenants back to full width when
-/// headroom returns.
+/// bytes under the configured [`SpaceBudget`] by folding cold tenants' grids
+/// to half width — losing precision but never counted mass — and evicting
+/// the coldest tenant only when nothing can fold.
 ///
 /// See the crate-level docs for a quickstart.
 pub struct SketchRegistry {
     pub(crate) tenants: HashMap<String, Tenant>,
     pub(crate) config: RegistryConfig,
-    pub(crate) counters: RegistryCounters,
+    /// Running totals bumped on every operation; the fields `stats()`
+    /// computes from the live fleet stay zero here.
+    pub(crate) counters: RegistryStats,
     pub(crate) next_id: u64,
     pub(crate) clock: u64,
     pub(crate) ops_since_govern: u64,
@@ -648,12 +494,18 @@ pub struct SketchRegistry {
 }
 
 impl SketchRegistry {
+    /// The most count mass the fleet admits over its lifetime: `i64::MAX`,
+    /// the most a Count Sketch counter holds. Below it no tenant counter
+    /// can overflow, since every counter's magnitude is at most the mass
+    /// admitted.
+    pub const MAX_MASS: u64 = i64::MAX as u64;
+
     /// Creates a registry with the given configuration.
     pub fn new(config: RegistryConfig) -> Self {
         SketchRegistry {
             tenants: HashMap::new(),
             config,
-            counters: RegistryCounters::default(),
+            counters: RegistryStats::default(),
             next_id: 0,
             clock: 0,
             ops_since_govern: 0,
@@ -709,34 +561,6 @@ impl SketchRegistry {
     ///
     /// [`RegistryError::DuplicateTenant`] if the name is taken.
     pub fn create(&mut self, name: &str, spec: BackendSpec) -> Result<TenantId, RegistryError> {
-        self.create_tenant(name, spec, None)
-    }
-
-    /// Registers a new tenant driven through a sharded [`IngestEngine`]
-    /// with `shards` shards — for the handful of tenants hot enough to need
-    /// parallel batch application. Each shard runs a worker thread (parked
-    /// when idle), and the tenant is charged the engine's resident
-    /// footprint, `2 × shards + 3` copies of the estimator, against the
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::DuplicateTenant`] if the name is taken.
-    pub fn create_sharded(
-        &mut self,
-        name: &str,
-        spec: BackendSpec,
-        shards: usize,
-    ) -> Result<TenantId, RegistryError> {
-        self.create_tenant(name, spec, Some(shards.max(1)))
-    }
-
-    fn create_tenant(
-        &mut self,
-        name: &str,
-        spec: BackendSpec,
-        shards: Option<usize>,
-    ) -> Result<TenantId, RegistryError> {
         if self.tenants.contains_key(name) {
             return Err(RegistryError::DuplicateTenant {
                 name: name.to_owned(),
@@ -745,27 +569,10 @@ impl SketchRegistry {
         let id = TenantId(self.next_id);
         self.next_id += 1;
         self.clock += 1;
-        // Per-tenant seed: distinct hash functions per tenant, derived
-        // deterministically so a registry rebuilt from the same config and
-        // creation order reproduces identical estimators.
-        let seed = self
-            .config
-            .default_seed
-            .wrapping_add(id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let sketch = spec.build(seed);
-        let state = match shards {
-            None => TenantState::Direct(sketch),
-            Some(shards) => TenantState::Sharded(Box::new(IngestEngine::new(
-                sketch,
-                EngineConfig::with_shards(shards),
-            ))),
-        };
         let mut tenant = Tenant {
             id,
             spec,
-            seed,
-            state,
-            frozen: None,
+            sketch: spec.build(self.config.tenant_seed(id)),
             mass: 0,
             elements: 0,
             touches: 0,
@@ -812,13 +619,19 @@ impl SketchRegistry {
 
     /// Routes `count` arrivals of `element` to the tenant named `name`.
     ///
+    /// The fleet admits at most [`SketchRegistry::MAX_MASS`] (`i64::MAX`)
+    /// count mass over its lifetime, dropped and evicted tenants included:
+    /// an update that would cross it is refused before any tenant or
+    /// counter changes.
+    ///
     /// # Errors
     ///
+    /// * [`RegistryError::ZeroWeight`] — `count == 0` (counted in
+    ///   [`RegistryStats::zero_weight_rejections`]).
+    /// * [`RegistryError::MassOverflow`] — `count` would take the admitted
+    ///   mass past [`SketchRegistry::MAX_MASS`].
     /// * [`RegistryError::UnknownTenant`] — no such tenant (it may have been
     ///   evicted by the governor; check [`RegistryStats::evictions`]).
-    /// * [`RegistryError::Engine`] wrapping [`EngineError::ZeroWeight`] —
-    ///   `count == 0` (counted, mirroring the engine's API boundary).
-    /// * [`RegistryError::Engine`] — a sharded tenant's engine failed.
     pub fn ingest_weighted(
         &mut self,
         name: &str,
@@ -827,7 +640,14 @@ impl SketchRegistry {
     ) -> Result<(), RegistryError> {
         if count == 0 {
             self.counters.zero_weight_rejections += 1;
-            return Err(EngineError::ZeroWeight { id: element.id }.into());
+            return Err(RegistryError::ZeroWeight { id: element.id });
+        }
+        let admitted = self.counters.ingested_mass;
+        if count > Self::MAX_MASS - admitted {
+            return Err(RegistryError::MassOverflow {
+                weight: count,
+                admitted,
+            });
         }
         self.clock += 1;
         let clock = self.clock;
@@ -837,7 +657,7 @@ impl SketchRegistry {
                 name: name.to_owned(),
             });
         };
-        tenant.ingest(element, count)?;
+        tenant.sketch.add(element, count);
         tenant.mass += count;
         tenant.elements += 1;
         tenant.touches += 1;
@@ -852,15 +672,11 @@ impl SketchRegistry {
     }
 
     /// Returns the estimated frequency of `element` for the tenant named
-    /// `name`. For a promoted tenant the estimate is the sum of the frozen
-    /// history's and the live sketch's estimates (both upper bounds for
-    /// Count-Min, so the sum still never under-counts).
+    /// `name`.
     ///
     /// # Errors
     ///
-    /// * [`RegistryError::UnknownTenant`] — no such tenant.
-    /// * [`RegistryError::Engine`] — a sharded tenant's engine could not
-    ///   flush (e.g. a poisoned shard).
+    /// [`RegistryError::UnknownTenant`] if no such tenant exists.
     pub fn query(&mut self, name: &str, element: &StreamElement) -> Result<f64, RegistryError> {
         self.counters.queries += 1;
         self.clock += 1;
@@ -871,7 +687,7 @@ impl SketchRegistry {
                 name: name.to_owned(),
             });
         };
-        let estimate = tenant.query(element)?;
+        let estimate = tenant.sketch.estimate(element);
         tenant.touches += 1;
         tenant.last_touch = clock;
         self.counters.query_hits += 1;
@@ -887,8 +703,6 @@ impl SketchRegistry {
             mass: t.mass,
             elements: t.elements,
             fold_steps: t.fold_steps,
-            promoted: t.frozen.is_some(),
-            sharded: t.is_sharded(),
         })
     }
 
@@ -898,36 +712,19 @@ impl SketchRegistry {
         self.tenants
             .values()
             .fold(SpaceReport::new(), |acc, tenant| {
-                acc.saturating_add(&tenant.space_report())
+                acc.saturating_add(&tenant.sketch.space_report())
             })
     }
 
     /// A consistent snapshot of the registry's counters, including the
     /// audited conservation fields.
     pub fn stats(&self) -> RegistryStats {
-        let held_mass = self.tenants.values().map(Tenant::held_mass).sum();
         RegistryStats {
-            tenants_created: self.counters.tenants_created,
-            tenants_dropped: self.counters.tenants_dropped,
             live_tenants: self.tenants.len() as u64,
-            ingested_elements: self.counters.ingested_elements,
-            ingested_mass: self.counters.ingested_mass,
-            held_mass,
-            dropped_mass: self.counters.dropped_mass,
-            evicted_mass: self.counters.evicted_mass,
-            zero_weight_rejections: self.counters.zero_weight_rejections,
-            queries: self.counters.queries,
-            query_hits: self.counters.query_hits,
-            query_misses: self.counters.query_misses,
-            degradations: self.counters.folds + self.counters.collapses + self.counters.demotions,
-            folds: self.counters.folds,
-            collapses: self.counters.collapses,
-            demotions: self.counters.demotions,
-            promotions: self.counters.promotions,
-            evictions: self.counters.evictions,
-            governor_passes: self.counters.governor_passes,
+            held_mass: self.tenants.values().map(|t| t.sketch.total_mass()).sum(),
             live_bytes: self.live_bytes,
             budget_bytes: self.config.budget.map_or(0, |b| b.bytes() as u64),
+            ..self.counters
         }
     }
 
@@ -942,14 +739,11 @@ impl SketchRegistry {
             .budget
             .is_some_and(|budget| self.live_bytes > budget.bytes() as u64)
     }
-}
 
-// The governor pass itself lives in `crate::governor` (same crate, so it
-// reaches the `pub(crate)` internals above); re-exported here for discovery.
-impl SketchRegistry {
     /// Runs one governor pass now (also triggered automatically every
     /// [`RegistryConfig::govern_interval`] operations and on any creation
-    /// that exceeds the budget). Returns what the pass did.
+    /// that exceeds the budget). Returns what the pass did; the pass itself
+    /// lives in [`crate::governor`].
     pub fn govern(&mut self) -> GovernorOutcome {
         crate::governor::govern_pass(self)
     }
@@ -958,7 +752,6 @@ impl SketchRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opthash_stream::ElementId;
 
     fn element(id: u64) -> StreamElement {
         StreamElement::without_features(id)
@@ -1026,10 +819,7 @@ mod tests {
             Err(RegistryError::UnknownTenant { .. })
         ));
         let err = registry.ingest_weighted("x", &element(1), 0).unwrap_err();
-        assert_eq!(
-            err,
-            RegistryError::Engine(EngineError::ZeroWeight { id: ElementId(1) })
-        );
+        assert_eq!(err, RegistryError::ZeroWeight { id: ElementId(1) });
         assert_eq!(registry.stats().zero_weight_rejections, 1);
     }
 
@@ -1074,19 +864,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tenants_match_direct_tenants() {
+    fn each_tenant_matches_a_sketch_built_from_its_own_seed() {
         let mut registry = SketchRegistry::unbounded();
         let spec = BackendSpec::CountMin {
             width: 256,
             depth: 4,
         };
-        registry.create("direct", spec).unwrap();
-        registry.create_sharded("sharded", spec, 4).unwrap();
-        // Tenants get distinct seeds, so each is checked against its own
-        // sketch built from that seed and fed the stream sequentially.
-        let mut references: Vec<(&str, TenantSketch)> = ["direct", "sharded"]
-            .into_iter()
-            .map(|name| (name, spec.build(registry.tenants[name].seed)))
+        let names = ["first", "second"];
+        let mut references: Vec<CountMinSketch> = names
+            .iter()
+            .map(|name| {
+                let id = registry.create(name, spec).unwrap();
+                CountMinSketch::new(256, 4, registry.config.tenant_seed(id))
+            })
             .collect();
         let mut state = 3u64;
         for _ in 0..5_000 {
@@ -1094,31 +884,25 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             let e = element(state % 300);
-            for (name, reference) in &mut references {
+            for (name, reference) in names.iter().zip(&mut references) {
                 registry.ingest(name, &e).unwrap();
-                SketchBackend::ingest(reference, &e, 1);
+                reference.add(e.id, 1);
             }
         }
-        for id in 0..320u64 {
-            for (name, reference) in &references {
-                let answer = registry.query(name, &element(id)).unwrap();
-                let expected = SketchBackend::query(reference, &element(id));
-                assert_eq!(
-                    answer.to_bits(),
-                    expected.to_bits(),
-                    "{name} diverged from its sequential reference at {id}"
-                );
-            }
+        let mut answers = |name: &str| -> Vec<u64> {
+            (0..320u64)
+                .map(|id| registry.query(name, &element(id)).unwrap().to_bits())
+                .collect()
+        };
+        let answers: Vec<Vec<u64>> = names.iter().map(|name| answers(name)).collect();
+        for ((name, answers), reference) in names.iter().zip(&answers).zip(&references) {
+            let expected: Vec<u64> = (0..320u64)
+                .map(|id| (reference.query(ElementId(id)) as f64).to_bits())
+                .collect();
+            assert_eq!(answers, &expected, "{name} diverged from its reference");
         }
-        let direct = registry.tenant_report("direct").unwrap();
-        let sharded = registry.tenant_report("sharded").unwrap();
-        assert_eq!(direct.mass, sharded.mass);
-        assert!(sharded.sharded && !direct.sharded);
-        assert!(
-            sharded.bytes >= (2 * 4 + 3) * spec.grid_bytes(),
-            "every resident copy is charged: {} bytes",
-            sharded.bytes
-        );
+        // Distinct seeds give distinct collision patterns.
+        assert_ne!(answers[0], answers[1], "both tenants hashed with one seed");
         assert_eq!(registry.stats().unaccounted_mass(), 0);
     }
 

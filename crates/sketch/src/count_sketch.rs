@@ -77,16 +77,18 @@ impl CountSketch {
         self.total_updates
     }
 
-    /// Adds `count` occurrences of `id`.
+    /// Adds `count` occurrences of `id`. Counters add the weight exactly;
+    /// a weight past `i64::MAX` saturates there.
     pub fn add(&mut self, id: ElementId, count: u64) {
         if count == 0 {
             return;
         }
         self.total_updates += count;
+        let weight = i64::try_from(count).unwrap_or(i64::MAX);
         for level in 0..self.depth {
             let b = self.bucket_hashes[level].hash(id.raw());
             let s = self.sign_hashes[level].sign(id.raw());
-            self.counters[level * self.width + b] += (s * count as f64) as i64;
+            self.counters[level * self.width + b] += if s > 0.0 { weight } else { -weight };
         }
     }
 
@@ -239,6 +241,18 @@ mod tests {
             ids.push(id);
         }
         Stream::from_ids(ids)
+    }
+
+    #[test]
+    fn weights_up_to_i64_max_add_exactly() {
+        let mut cs = CountSketch::new(64, 3, 5);
+        // As an `f64` this weight rounds up to 2^63, past `i64::MAX`.
+        cs.add(ElementId(1), i64::MAX as u64 - 300);
+        cs.add(ElementId(1), 300);
+        for &c in cs.counters.iter().filter(|&&c| c != 0) {
+            assert_eq!(c.unsigned_abs(), i64::MAX as u64);
+        }
+        assert_eq!(cs.query_signed(ElementId(1)), i64::MAX as f64);
     }
 
     #[test]

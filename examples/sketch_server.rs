@@ -79,8 +79,8 @@ fn main() {
     }
     println!();
     println!("protocol (one command per line, one OK/ERR response per command):");
-    println!("  CREATE <tenant> <spec> [sharded:<n>]   spec: count-min[:WxD] |");
-    println!("                                               count-sketch[:WxD] | misra-gries[:N]");
+    println!("  CREATE <tenant> <spec>   spec: count-min[:WxD] | count-sketch[:WxD] |");
+    println!("                                 misra-gries[:N]");
     println!("  ADD <tenant> <id> [<weight>]");
     println!("  QUERY <tenant> <id>");
     println!("  STATS [<tenant>]");

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The default budget (3 MB) is roughly a quarter of the fleet's full-width
-//! footprint, so the governor must degrade cold tenants to fit — the run
+//! footprint, so the governor must fold cold tenants to fit — the run
 //! asserts that it did, and that not one unit of counted mass went missing
 //! while it happened.
 
@@ -231,15 +231,8 @@ fn main() {
     // --- governor & conservation audit ------------------------------------
     let stats = registry.stats();
     println!(
-        "governor: {} degradations ({} folds, {} collapses, {} demotions), \
-         {} evictions, {} promotions over {} passes",
-        stats.degradations,
-        stats.folds,
-        stats.collapses,
-        stats.demotions,
-        stats.evictions,
-        stats.promotions,
-        stats.governor_passes
+        "governor: {} folds, {} evictions over {} passes",
+        stats.folds, stats.evictions, stats.governor_passes
     );
     println!(
         "footprint: {:.1} KB live of {:.1} KB budget; mass held {} / ingested {}",
@@ -249,8 +242,8 @@ fn main() {
         stats.ingested_mass
     );
     assert!(
-        stats.degradations >= 1,
-        "the budget was sized to force at least one degradation"
+        stats.folds >= 1,
+        "the budget was sized to force at least one fold"
     );
     assert_eq!(
         stats.unaccounted_mass(),
@@ -280,12 +273,8 @@ fn main() {
             .int("live_bytes", stats.live_bytes as i64)
             .int("budget_bytes", stats.budget_bytes as i64)
             .float("bytes_per_tracked_element", bytes_per_element, 2)
-            .int("degradations", stats.degradations as i64)
             .int("folds", stats.folds as i64)
-            .int("collapses", stats.collapses as i64)
-            .int("demotions", stats.demotions as i64)
             .int("evictions", stats.evictions as i64)
-            .int("promotions", stats.promotions as i64)
             .int("governor_passes", stats.governor_passes as i64)
             .int("arrivals_lost_to_eviction", lost_to_eviction as i64)
             .int("unaccounted_mass", stats.unaccounted_mass()),

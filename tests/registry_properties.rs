@@ -128,7 +128,7 @@ proptest! {
         }
         let stats = registry.stats();
         prop_assert!(
-            stats.degradations >= 1,
+            stats.folds >= 1,
             "a 12 KB budget cannot hold four 8 KB tenants at full width"
         );
         prop_assert_eq!(stats.ingested_mass, expected_mass);

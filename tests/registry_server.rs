@@ -75,12 +75,9 @@ fn full_protocol_over_loopback() {
 
     assert_eq!(client.send("PING"), "OK pong");
 
-    // CREATE all three backend kinds, one of them sharded.
+    // CREATE all three backend kinds.
     assert_eq!(client.send("CREATE flows count-min:256x4"), "OK t0");
-    assert_eq!(
-        client.send("CREATE queries count-sketch:128x4 sharded:2"),
-        "OK t1"
-    );
+    assert_eq!(client.send("CREATE queries count-sketch:128x4"), "OK t1");
     assert_eq!(client.send("CREATE heavy misra-gries:64"), "OK t2");
     assert!(client
         .send("CREATE flows count-min")
@@ -100,7 +97,9 @@ fn full_protocol_over_loopback() {
     assert!(client
         .send("QUERY ghost 1")
         .starts_with("ERR unknown tenant"));
-    assert!(client.send("ADD flows 1 0").starts_with("ERR engine error"));
+    assert!(client
+        .send("ADD flows 1 0")
+        .starts_with("ERR zero-weight update"));
     assert!(client.send("FROBNICATE").starts_with("ERR unknown command"));
     assert!(client
         .send("CREATE t bloom:9")
@@ -289,10 +288,10 @@ fn quit_mid_window_answers_and_closes() {
 }
 
 #[test]
-fn sharded_tenant_answers_over_loopback_match_the_registry() {
+fn direct_tenant_answers_over_loopback_match_the_registry() {
     let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
     let mut client = Client::connect(server.local_addr());
-    assert_eq!(client.send("CREATE hot count-min:128x4 sharded:2"), "OK t0");
+    assert_eq!(client.send("CREATE hot count-sketch:128x4"), "OK t0");
     let mut mass = 0;
     for i in 0..200u64 {
         assert_eq!(
@@ -316,17 +315,21 @@ fn sharded_tenant_answers_over_loopback_match_the_registry() {
         };
         assert_eq!(socket.to_bits(), local.to_bits(), "id {id}");
     }
-    assert!(client.send("STATS hot").contains("sharded=true"));
+    assert!(client
+        .send("STATS hot")
+        .ends_with(&format!("mass={mass} elements=200 folds=0")));
     assert_eq!(registry_mass(&server), mass);
     server.shutdown();
 }
 
 #[test]
-fn oversize_sharded_create_is_refused() {
+fn create_with_a_trailing_option_is_refused() {
     let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
     let mut client = Client::connect(server.local_addr());
-    let answer = client.send("CREATE t count-min:64x1 sharded:100000");
-    assert!(answer.starts_with("ERR sharded:<n>"), "{answer}");
+    assert_eq!(
+        client.send("CREATE t count-min:64x1 sharded:2"),
+        "ERR CREATE: unexpected trailing field 'sharded:2'"
+    );
     assert!(client.send("QUERY t 1").starts_with("ERR unknown tenant"));
     assert_eq!(client.send("PING"), "OK pong");
     server.shutdown();
