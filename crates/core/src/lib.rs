@@ -64,7 +64,7 @@ pub mod stats;
 pub use adaptive::AdaptiveOptHash;
 pub use config::{OptHashBuilder, OptHashConfig, SolverKind};
 pub use estimator::OptHash;
-pub use stats::{EstimatorStats, MassLedger};
+pub use stats::EstimatorStats;
 
 // Re-export the workspace crates whose types appear in this crate's public
 // API, so downstream users need only depend on `opthash`.

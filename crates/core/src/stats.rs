@@ -50,102 +50,9 @@ impl EstimatorStats {
     }
 }
 
-/// A conservation ledger for stream mass flowing through an ingestion
-/// boundary: every unit offered must be **accepted**, **rejected**, or
-/// **degraded** (admitted in a reduced-service mode), and nothing else.
-///
-/// The ledger is unit-agnostic — the engine keeps one ledger counting
-/// arrivals and one counting weighted count mass — and is the primitive the
-/// ingest engine's overload invariants are asserted against: under any
-/// backpressure policy, [`MassLedger::conserved`] must hold at every point
-/// in time, so no arrival can ever be dropped silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct MassLedger {
-    /// Units presented at the boundary (the sum of the three buckets).
-    pub offered: u64,
-    /// Units admitted under normal operation.
-    pub accepted: u64,
-    /// Units refused with an explicit, typed error.
-    pub rejected: u64,
-    /// Units admitted in a degraded mode (e.g. aggregate-only buffering
-    /// under overload) — still fully counted, never lost.
-    pub degraded: u64,
-}
-
-impl MassLedger {
-    /// Records `units` offered and accepted.
-    #[inline]
-    pub fn accept(&mut self, units: u64) {
-        self.offered += units;
-        self.accepted += units;
-    }
-
-    /// Records `units` offered and explicitly rejected.
-    #[inline]
-    pub fn reject(&mut self, units: u64) {
-        self.offered += units;
-        self.rejected += units;
-    }
-
-    /// Records `units` offered and admitted in degraded mode.
-    #[inline]
-    pub fn degrade(&mut self, units: u64) {
-        self.offered += units;
-        self.degraded += units;
-    }
-
-    /// Units that made it into the system (accepted + degraded).
-    #[inline]
-    pub fn admitted(&self) -> u64 {
-        self.accepted + self.degraded
-    }
-
-    /// The conservation invariant: every offered unit is accounted for in
-    /// exactly one bucket.
-    #[inline]
-    pub fn conserved(&self) -> bool {
-        self.offered == self.accepted + self.rejected + self.degraded
-    }
-
-    /// Folds another ledger into this one (e.g. summing per-shard ledgers).
-    pub fn absorb(&mut self, other: &MassLedger) {
-        self.offered += other.offered;
-        self.accepted += other.accepted;
-        self.rejected += other.rejected;
-        self.degraded += other.degraded;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mass_ledger_conserves_by_construction() {
-        let mut ledger = MassLedger::default();
-        assert!(ledger.conserved());
-        ledger.accept(10);
-        ledger.reject(3);
-        ledger.degrade(5);
-        assert!(ledger.conserved());
-        assert_eq!(ledger.offered, 18);
-        assert_eq!(ledger.admitted(), 15);
-
-        let mut total = MassLedger::default();
-        total.absorb(&ledger);
-        total.absorb(&ledger);
-        assert!(total.conserved());
-        assert_eq!(total.offered, 36);
-
-        // A hand-built ledger that lost mass must be caught.
-        let broken = MassLedger {
-            offered: 10,
-            accepted: 6,
-            rejected: 1,
-            degraded: 2,
-        };
-        assert!(!broken.conserved());
-    }
 
     #[test]
     fn per_element_scale_handles_zero_elements() {

@@ -4,7 +4,7 @@
 
 use opthash::{AdaptiveOptHash, OptHash};
 use opthash_sketch::{CountMinSketch, CountSketch, LearnedCountMin, MisraGries};
-use opthash_stream::{FrequencyEstimator, SpaceReport, StreamElement};
+use opthash_stream::{FrequencyEstimator, StreamElement};
 
 /// A frequency estimator that the [`crate::IngestEngine`] can shard.
 ///
@@ -107,13 +107,6 @@ pub trait SketchBackend: Send + Sync + Clone {
     fn merge(&mut self, shard: &Self)
     where
         Self: Sized;
-
-    /// Itemized memory usage under the paper's accounting model
-    /// (see [`opthash_stream::space`]).
-    fn space_report(&self) -> SpaceReport;
-
-    /// Short name for reports, e.g. `count-min`.
-    fn backend_name(&self) -> &'static str;
 }
 
 impl SketchBackend for CountMinSketch {
@@ -136,14 +129,6 @@ impl SketchBackend for CountMinSketch {
     fn merge(&mut self, shard: &Self) {
         CountMinSketch::merge(self, shard);
     }
-
-    fn space_report(&self) -> SpaceReport {
-        CountMinSketch::space_report(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "count-min"
-    }
 }
 
 impl SketchBackend for CountSketch {
@@ -152,9 +137,8 @@ impl SketchBackend for CountSketch {
     }
 
     fn query(&self, element: &StreamElement) -> f64 {
-        // Clamp like the FrequencyEstimator impl: a frequency is never
-        // negative.
-        self.query_signed(element.id).max(0.0)
+        // The estimator's own clamp: a frequency is never negative.
+        FrequencyEstimator::estimate(self, element)
     }
 
     fn fork(&self) -> Self {
@@ -163,14 +147,6 @@ impl SketchBackend for CountSketch {
 
     fn merge(&mut self, shard: &Self) {
         CountSketch::merge(self, shard);
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        CountSketch::space_report(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "count-sketch"
     }
 }
 
@@ -190,14 +166,6 @@ impl SketchBackend for LearnedCountMin {
     fn merge(&mut self, shard: &Self) {
         LearnedCountMin::merge(self, shard);
     }
-
-    fn space_report(&self) -> SpaceReport {
-        LearnedCountMin::space_report(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "heavy-hitter"
-    }
 }
 
 impl SketchBackend for MisraGries {
@@ -215,14 +183,6 @@ impl SketchBackend for MisraGries {
 
     fn merge(&mut self, shard: &Self) {
         MisraGries::merge(self, shard);
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        MisraGries::space_report(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "misra-gries"
     }
 }
 
@@ -242,14 +202,6 @@ impl SketchBackend for OptHash {
     fn merge(&mut self, shard: &Self) {
         self.merge_counts(shard);
     }
-
-    fn space_report(&self) -> SpaceReport {
-        OptHash::space_report(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "opt-hash"
-    }
 }
 
 impl SketchBackend for AdaptiveOptHash {
@@ -267,13 +219,5 @@ impl SketchBackend for AdaptiveOptHash {
 
     fn merge(&mut self, shard: &Self) {
         self.merge_counts(shard);
-    }
-
-    fn space_report(&self) -> SpaceReport {
-        AdaptiveOptHash::space_report(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "opt-hash-adaptive"
     }
 }

@@ -8,7 +8,6 @@ use crate::snapshot::{
     BaseSlot, EpochStamp, PublishedSlot, SnapshotEstimate, SnapshotHub, SnapshotReader,
 };
 use crate::worker::{apply_batch, spawn_worker, ShardHandle, WorkerConfig};
-use opthash::MassLedger;
 use opthash_stream::{Stream, StreamElement};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -37,31 +36,6 @@ fn mix64(x: u64) -> u64 {
     z ^ (z >> 29)
 }
 
-/// What the engine does when an arrival routes to a shard whose worker
-/// queue is full.
-///
-/// Every policy upholds the same conservation invariant, checked by
-/// [`EngineStats::conserved`]: offered mass = accepted + rejected +
-/// degraded mass. Nothing is ever dropped silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Block the ingesting thread until the shard drains (lossless,
-    /// unbounded latency). The default.
-    #[default]
-    Block,
-    /// Reject the arrival with [`EngineError::Overloaded`] (bounded
-    /// latency; the caller decides how to shed load). Rejections are
-    /// counted in the `rejected` bucket of the engine's ledgers.
-    Reject,
-    /// Keep absorbing arrivals into the shard's pre-aggregating batch
-    /// buffer past its normal batch size (growing it as needed) —
-    /// duplicate-heavy traffic collapses in place, so mass is never lost
-    /// and latency stays bounded at the cost of buffer memory and batch
-    /// staleness. Arrivals admitted this way are counted in the `degraded`
-    /// bucket.
-    DegradeAggregate,
-}
-
 /// Configuration of an [`IngestEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -72,13 +46,9 @@ pub struct EngineConfig {
     /// dispatched. Larger batches aggregate more duplicate arrivals (a big
     /// win on skewed streams) at the cost of staleness and buffer memory.
     pub batch_capacity: usize,
-    /// Overload behaviour when a shard's worker queue is full.
-    pub backpressure: BackpressurePolicy,
-    /// Bounded depth of each shard's worker queue, in batches.
+    /// Bounded depth of each shard's worker queue, in batches. A producer
+    /// that dispatches to a full queue blocks until the worker drains it.
     pub queue_capacity: usize,
-    /// Application attempts before a panicking batch is quarantined as a
-    /// poison pill instead of being retried forever.
-    pub max_batch_attempts: u32,
     /// Committed batches between worker checkpoints. Smaller values bound
     /// recovery replay tighter; larger values amortize the O(state)
     /// snapshot clone over more batches.
@@ -90,9 +60,7 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: 4,
             batch_capacity: 8_192,
-            backpressure: BackpressurePolicy::Block,
             queue_capacity: 8,
-            max_batch_attempts: 3,
             checkpoint_interval: 8,
         }
     }
@@ -113,21 +81,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the backpressure policy.
-    pub fn backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.backpressure = policy;
-        self
-    }
-
     /// Sets the per-shard worker queue depth, in batches.
     pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Sets the poison-pill quarantine threshold.
-    pub fn max_batch_attempts(mut self, attempts: u32) -> Self {
-        self.max_batch_attempts = attempts.max(1);
         self
     }
 
@@ -141,20 +97,19 @@ impl EngineConfig {
 /// Counters describing what an [`IngestEngine`] has done so far — a
 /// consistent snapshot assembled by [`IngestEngine::stats`].
 ///
-/// The two [`MassLedger`]s carry the engine's conservation invariant: under
-/// every [`BackpressurePolicy`], offered = accepted + rejected + degraded,
-/// for arrival counts (`elements`) and weighted count mass (`mass`) alike.
-/// [`EngineStats::unaccounted_mass`] additionally audits where admitted
-/// mass currently sits (applied, buffered, queued, or quarantined); after a
-/// [`IngestEngine::flush`] it must be exactly zero.
+/// [`EngineStats::unaccounted_mass`] audits where the admitted mass
+/// currently sits (applied, buffered, queued, or quarantined); it must be
+/// exactly zero at every instant, and in particular after a
+/// [`IngestEngine::flush`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
-    /// Conservation ledger over arrivals (each ingest call is one unit).
-    pub elements: MassLedger,
-    /// Conservation ledger over weighted count mass.
-    pub mass: MassLedger,
-    /// Weight-0 updates rejected at the API boundary (carry no mass, so
-    /// they are excluded from the ledgers).
+    /// Arrivals admitted into the engine (each ingest call, and each
+    /// element of a bulk slice, is one arrival).
+    pub elements: u64,
+    /// Count mass admitted into the engine.
+    pub mass: u64,
+    /// Weight-0 updates rejected at the API boundary (they carry no mass
+    /// and are not admitted).
     pub zero_weight_rejections: u64,
     /// Flush passes performed (explicit or query-forced).
     pub flushes: u64,
@@ -170,9 +125,10 @@ pub struct EngineStats {
     pub buffered_mass: u64,
     /// Count mass dispatched to worker queues but not yet applied.
     pub queued_mass: u64,
-    /// Pre-aggregated updates set aside in poison-pill quarantine.
+    /// Pre-aggregated updates set aside in quarantine: poison-pill batches,
+    /// and batches a poisoned shard could not take.
     pub quarantined_updates: u64,
-    /// Count mass set aside in poison-pill quarantine.
+    /// Count mass set aside in quarantine.
     pub quarantined_mass: u64,
     /// Batch application attempts that panicked (caught and retried or
     /// quarantined).
@@ -182,14 +138,14 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Arrivals admitted into the engine (accepted + degraded).
+    /// Arrivals admitted into the engine.
     pub fn ingested_elements(&self) -> u64 {
-        self.elements.admitted()
+        self.elements
     }
 
-    /// Count mass admitted into the engine (accepted + degraded).
+    /// Count mass admitted into the engine.
     pub fn ingested_mass(&self) -> u64 {
-        self.mass.admitted()
+        self.mass
     }
 
     /// Average number of arrivals collapsed into one applied update
@@ -202,19 +158,11 @@ impl EngineStats {
         }
     }
 
-    /// The intake conservation invariant: every offered arrival and every
-    /// unit of offered mass is accounted as accepted, rejected, or
-    /// degraded.
-    pub fn conserved(&self) -> bool {
-        self.elements.conserved() && self.mass.conserved()
-    }
-
     /// Admitted mass not locatable in the engine (not applied, buffered,
-    /// queued, or quarantined). Zero at all times for a healthy engine;
-    /// after [`IngestEngine::flush`] anything other than zero means mass
+    /// queued, or quarantined). Zero at all times; anything else means mass
     /// was lost (negative: double-counted).
     pub fn unaccounted_mass(&self) -> i128 {
-        self.mass.admitted() as i128
+        self.mass as i128
             - self.applied_mass as i128
             - self.buffered_mass as i128
             - self.queued_mass as i128
@@ -234,11 +182,10 @@ impl EngineStats {
 /// boundary ([`EngineError::ZeroWeight`]) precisely so that a real arrival
 /// can never be mistaken for an empty slot.
 ///
-/// The table is sized for a maximum load factor of 3/4, so an upsert probes
-/// O(1) expected slots. Under [`BackpressurePolicy::DegradeAggregate`] the
-/// buffer may be asked to hold more than its configured batch capacity; it
-/// then grows (doubling and rehashing) to keep the load factor bounded, so
-/// aggregation continues instead of mass being dropped.
+/// The table is sized for a load factor of at most 3/4 at the batch limit,
+/// so an upsert probes O(1) expected slots. The engine dispatches a buffer
+/// the moment it reaches its limit, so it never holds more than `limit`
+/// distinct elements and never needs to grow.
 #[derive(Debug)]
 struct BatchBuffer {
     /// `(element id, pending count)`; `count == 0` marks an empty slot.
@@ -271,13 +218,6 @@ impl BatchBuffer {
         self.len == 0
     }
 
-    /// `true` once the buffer holds its configured batch capacity of
-    /// distinct elements and should be dispatched before growing further.
-    #[inline]
-    fn is_at_limit(&self) -> bool {
-        self.len >= self.limit
-    }
-
     /// Adds `count > 0` arrivals of `element`. The element is cloned only
     /// when a *featured* element occupies a slot for the first time —
     /// duplicate arrivals (the common case on skewed streams) touch nothing
@@ -285,9 +225,7 @@ impl BatchBuffer {
     ///
     /// Returns `true` when this upsert brought the buffer to its batch
     /// limit — computed on the insert branch only, so the duplicate-bump
-    /// hot path pays for no limit check at all. (A buffer already past its
-    /// limit — degraded mode — reports `false` for duplicate bumps; callers
-    /// that care about standing fullness use [`BatchBuffer::is_at_limit`].)
+    /// hot path pays for no limit check at all.
     #[inline]
     fn upsert(&mut self, hash: u64, element: &StreamElement, count: u64) -> bool {
         debug_assert!(count > 0, "zero-weight updates are rejected upstream");
@@ -314,45 +252,11 @@ impl BatchBuffer {
                 self.featured[idx] = Some(element.clone());
             }
             self.len += 1;
-            // Growth is only reachable past the batch limit (degraded
-            // mode): the normal dispatch path drains the buffer at `limit`,
-            // well under the 3/4 load factor this check maintains. Checking
-            // on insert only keeps it off the duplicate-bump hot path, and
-            // growing *after* the insert is sound — the rehash carries the
-            // new entry along.
-            if self.len * 4 >= self.entries.len() * 3 {
-                self.grow();
-            }
+            debug_assert!(
+                self.len <= self.limit,
+                "a buffer is dispatched the moment it reaches its limit"
+            );
             return self.len >= self.limit;
-        }
-    }
-
-    /// Doubles the slot table and rehashes every pending entry.
-    fn grow(&mut self) {
-        let new_slots = self.entries.len() * 2;
-        let old_entries = std::mem::replace(&mut self.entries, vec![(0, 0); new_slots]);
-        let had_featured = !self.featured.is_empty();
-        let mut old_featured = std::mem::replace(
-            &mut self.featured,
-            if had_featured {
-                vec![None; new_slots]
-            } else {
-                Vec::new()
-            },
-        );
-        let mask = new_slots - 1;
-        for (old_idx, &(key, count)) in old_entries.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let mut idx = mix64(key) as usize & mask;
-            while self.entries[idx].1 != 0 {
-                idx = (idx + 1) & mask;
-            }
-            self.entries[idx] = (key, count);
-            if had_featured {
-                self.featured[idx] = old_featured[old_idx].take();
-            }
         }
     }
 
@@ -401,11 +305,6 @@ impl BatchBuffer {
     }
 }
 
-enum DispatchOutcome {
-    Dispatched,
-    QueueFull,
-}
-
 /// A sharded, batched, fault-isolated ingestion front-end for any
 /// [`SketchBackend`].
 ///
@@ -414,9 +313,9 @@ enum DispatchOutcome {
 /// into one weighted update — a large win on the skewed streams the paper
 /// studies). Full batches are fed through a bounded queue to the shard's
 /// **persistent worker thread**, so application overlaps ingestion and all
-/// cores stay busy between flushes; overload behaviour is governed by the
-/// configured [`BackpressurePolicy`]. An idle worker parks on its queue and
-/// costs no CPU beyond a timed backstop wake-up.
+/// cores stay busy between flushes. When a shard's queue is full the
+/// ingesting thread blocks until the worker drains it. An idle worker parks
+/// on its queue and costs no CPU beyond a timed backstop wake-up.
 ///
 /// # Two read paths
 ///
@@ -441,8 +340,9 @@ enum DispatchOutcome {
 /// dead workers are re-forked from their shard's last checkpoint with the
 /// surviving queue replayed, and every such event is recorded in the
 /// [`FaultLog`]. The fallible operations return
-/// [`EngineError`] instead of panicking, and [`EngineStats`] carries
-/// conservation ledgers proving no arrival is ever silently dropped.
+/// [`EngineError`] instead of panicking, and
+/// [`EngineStats::unaccounted_mass`] proves no admitted arrival is ever
+/// silently dropped.
 ///
 /// # Exactness
 ///
@@ -479,9 +379,9 @@ pub struct IngestEngine<B: SketchBackend> {
     merged: Option<B>,
     hub: Arc<SnapshotHub<B>>,
     reader: SnapshotReader<B>,
-    config: EngineConfig,
-    elements: MassLedger,
-    mass: MassLedger,
+    checkpoint_interval: u32,
+    elements: u64,
+    mass: u64,
     zero_weight_rejections: u64,
     flushes: u64,
     /// Number of completed [`IngestEngine::swap_backend`] scheme swaps.
@@ -541,7 +441,6 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                     faults.clone(),
                     WorkerConfig {
                         shard,
-                        max_batch_attempts: config.max_batch_attempts,
                         checkpoint_interval: config.checkpoint_interval,
                     },
                     0,
@@ -561,9 +460,9 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             merged: None,
             hub,
             reader,
-            config,
-            elements: MassLedger::default(),
-            mass: MassLedger::default(),
+            checkpoint_interval: config.checkpoint_interval,
+            elements: 0,
+            mass: 0,
             zero_weight_rejections: 0,
             flushes: 0,
             scheme_version: 0,
@@ -571,17 +470,6 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             faults,
             fault_log,
         }
-    }
-
-    /// Wraps `backend` with the default configuration (4 worker shards,
-    /// 8 Ki distinct elements per batch, blocking backpressure).
-    pub fn with_defaults(backend: B) -> Self {
-        Self::new(backend, EngineConfig::default())
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// Handle for programming deterministic faults into this engine (only
@@ -632,15 +520,11 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         stats
     }
 
-    /// Number of distinct elements currently buffered across all shards.
-    pub fn buffered(&self) -> usize {
-        self.buffers.iter().map(|b| b.len).sum()
-    }
-
-    /// The pre-aggregated updates of every quarantined poison-pill batch,
-    /// in shard order: the mass the engine refused to lose silently. A
-    /// caller can inspect or re-apply them (e.g. to a fresh engine after
-    /// fixing the underlying fault).
+    /// The pre-aggregated updates of every quarantined batch — poison
+    /// pills, and batches dispatched to a poisoned shard — in shard order:
+    /// the mass the engine refused to lose silently. A caller can inspect
+    /// or re-apply them (e.g. to a fresh engine after fixing the underlying
+    /// fault).
     pub fn quarantined(&self) -> Vec<(StreamElement, u64)> {
         let mut updates = Vec::new();
         for handle in &self.handles {
@@ -664,10 +548,9 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     ///
     /// * [`EngineError::ZeroWeight`] — `count == 0` (counted in
     ///   [`EngineStats::zero_weight_rejections`]).
-    /// * [`EngineError::Overloaded`] — the target shard's queue is full
-    ///   under [`BackpressurePolicy::Reject`]; the arrival was not admitted
-    ///   and is counted in the rejected ledger buckets.
-    /// * [`EngineError::ShardPoisoned`] — the target shard is fenced off.
+    /// * [`EngineError::ShardPoisoned`] — the arrival's batch was dispatched
+    ///   to a fenced-off shard. The arrival is still admitted: its batch
+    ///   sits in that shard's quarantine ([`IngestEngine::quarantined`]).
     #[inline]
     pub fn ingest_weighted(
         &mut self,
@@ -679,85 +562,33 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             self.zero_weight_rejections += 1;
             return Err(EngineError::ZeroWeight { id: element.id });
         }
-        self.admit(element, count)
-    }
-
-    /// Routes, applies backpressure, and buffers one non-zero arrival.
-    #[inline]
-    fn admit(&mut self, element: &StreamElement, count: u64) -> Result<(), EngineError> {
-        let hash = mix64(element.id.raw());
-        // Multiply-shift on the high bits picks the shard; the low bits
-        // index the buffer's slot table, so the two stay decorrelated.
-        let shard = (((hash >> 32) * self.buffers.len() as u64) >> 32) as usize;
-        let mut degraded = false;
-        if self.buffers[shard].is_at_limit() {
-            match self.dispatch(shard, false)? {
-                DispatchOutcome::Dispatched => {}
-                DispatchOutcome::QueueFull => match self.config.backpressure {
-                    BackpressurePolicy::Reject => {
-                        self.elements.reject(1);
-                        self.mass.reject(count);
-                        return Err(EngineError::Overloaded {
-                            shard,
-                            queue_capacity: self.config.queue_capacity,
-                        });
-                    }
-                    BackpressurePolicy::DegradeAggregate => degraded = true,
-                    // `dispatch` blocks until space under Block.
-                    BackpressurePolicy::Block => unreachable!("Block never reports a full queue"),
-                },
-            }
-        }
-        if degraded {
-            self.elements.degrade(1);
-            self.mass.degrade(count);
-        } else {
-            self.elements.accept(1);
-            self.mass.accept(count);
-        }
-        self.buffers[shard].upsert(hash, element, count);
+        self.elements += 1;
+        self.mass += count;
         self.dirty = true;
-        Ok(())
+        self.ingest_one(mix64(element.id.raw()), element, count)
     }
 
     /// Accepts a slice of arrivals — the engine's preferred bulk path.
     ///
     /// Beyond amortizing per-call bookkeeping, each arrival's batch slot is
     /// prefetched a few elements ahead, hiding the cache-miss latency of
-    /// cold (tail) elements behind the work of the hot head.
-    ///
-    /// Under [`BackpressurePolicy::Reject`] the bulk path does **not** stop
-    /// at the first overloaded arrival: rejected arrivals are counted in
-    /// the ledgers (preserving the conservation invariant) and the rest of
-    /// the slice is processed. Other errors abort and propagate.
+    /// cold (tail) elements behind the work of the hot head. An error stops
+    /// the slice; every arrival up to and including the failing one is
+    /// admitted, exactly as if each had been ingested on its own.
     pub fn ingest_batch(&mut self, elements: &[StreamElement]) -> Result<(), EngineError> {
         /// How many arrivals ahead to prefetch: far enough to cover an
         /// L2/L3 miss, near enough to stay in the prefetch queues. A power
         /// of two, so the hash-ring index below is a mask.
         const LOOKAHEAD: usize = 16;
         self.faults.hit_result_at("engine::ingest", None)?;
-        if !matches!(self.config.backpressure, BackpressurePolicy::Block) {
-            // Reject can shed and DegradeAggregate can reroute arrivals, so
-            // those policies need the per-arrival ledger accounting of
-            // `admit`; surfaced rejections are absorbed here (they are on
-            // the ledger) to keep the bulk path total.
-            for element in elements {
-                match self.admit(element, 1) {
-                    Ok(()) | Err(EngineError::Overloaded { .. }) => {}
-                    Err(err) => return Err(err),
-                }
-            }
-            return Ok(());
-        }
-        // Block admits every arrival unconditionally, so the ledger can be
-        // settled once for the whole slice instead of per element — this
-        // loop is the engine's hottest path. Splitting the slice at
-        // `len - LOOKAHEAD` makes the prefetch unconditional in the main
-        // loop (zip bounds it) and leaves a short prefetch-free tail. A
-        // LOOKAHEAD-deep hash ring carries each lookahead hash forward to
-        // its own arrival, so every ID is mixed exactly once: the ring slot
-        // read for arrival `i` is the slot written at arrival `i - LOOKAHEAD`
-        // (same slot, period LOOKAHEAD).
+        // The admitted counts are settled once for the whole slice instead
+        // of per element — this loop is the engine's hottest path.
+        // Splitting the slice at `len - LOOKAHEAD` makes the prefetch
+        // unconditional in the main loop (zip bounds it) and leaves a short
+        // prefetch-free tail. A LOOKAHEAD-deep hash ring carries each
+        // lookahead hash forward to its own arrival, so every ID is mixed
+        // exactly once: the ring slot read for arrival `i` is the slot
+        // written at arrival `i - LOOKAHEAD` (same slot, period LOOKAHEAD).
         let mut ring = [0u64; LOOKAHEAD];
         for (slot, element) in ring.iter_mut().zip(elements.iter()) {
             *slot = mix64(element.id.raw());
@@ -775,10 +606,8 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             let ahead = mix64(upcoming.id.raw());
             ring[position & (LOOKAHEAD - 1)] = ahead;
             position += 1;
-            let nshards = self.buffers.len() as u64;
-            let shard = (((ahead >> 32) * nshards) >> 32) as usize;
-            self.buffers[shard].prefetch(ahead);
-            if let Err(err) = self.block_ingest_one(hash, element) {
+            self.buffers[self.shard_of(ahead)].prefetch(ahead);
+            if let Err(err) = self.ingest_one(hash, element, 1) {
                 result = Err(err);
                 break;
             }
@@ -787,7 +616,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             for element in tail {
                 let hash = ring[position & (LOOKAHEAD - 1)];
                 position += 1;
-                if let Err(err) = self.block_ingest_one(hash, element) {
+                if let Err(err) = self.ingest_one(hash, element, 1) {
                     result = Err(err);
                     break;
                 }
@@ -795,27 +624,39 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         }
         // Every arrival up to and including a failing one was upserted into
         // its shard buffer before dispatch could error, so the processed
-        // prefix must be admitted to the ledgers even when propagating —
-        // otherwise unaccounted_mass() goes negative and, were `dirty`
-        // still false, a later query would skip flushing those arrivals.
+        // prefix is admitted even when propagating — otherwise
+        // unaccounted_mass() goes negative and, were `dirty` still false, a
+        // later query would skip flushing those arrivals.
         if position > 0 {
-            self.elements.accept(position as u64);
-            self.mass.accept(position as u64);
+            self.elements += position as u64;
+            self.mass += position as u64;
             self.dirty = true;
         }
         result
     }
 
-    /// One arrival on the Block-policy bulk path (`hash` is the arrival's
-    /// precomputed `mix64`): one bounds-checked shard lookup, one probe, and
-    /// the batch-limit check only on the rare insert branch inside `upsert`.
-    /// The arrival that fills a buffer dispatches it. Ledger accounting is
-    /// settled by the caller for the whole slice.
+    /// The shard that owns `hash`: multiply-shift on the high bits, so the
+    /// low bits stay free to index the buffer's slot table.
     #[inline(always)]
-    fn block_ingest_one(&mut self, hash: u64, element: &StreamElement) -> Result<(), EngineError> {
-        let shard = (((hash >> 32) * self.buffers.len() as u64) >> 32) as usize;
-        if self.buffers[shard].upsert(hash, element, 1) {
-            self.dispatch(shard, false)?;
+    fn shard_of(&self, hash: u64) -> usize {
+        (((hash >> 32) * self.buffers.len() as u64) >> 32) as usize
+    }
+
+    /// Buffers one admitted, non-zero arrival (`hash` is its `mix64`): one
+    /// shard lookup, one probe, and the batch-limit check only on the rare
+    /// insert branch inside `upsert`. The arrival that fills a buffer
+    /// dispatches it, so a buffer never holds more than its batch capacity.
+    /// The caller credits the admitted counts.
+    #[inline(always)]
+    fn ingest_one(
+        &mut self,
+        hash: u64,
+        element: &StreamElement,
+        count: u64,
+    ) -> Result<(), EngineError> {
+        let shard = self.shard_of(hash);
+        if self.buffers[shard].upsert(hash, element, count) {
+            self.dispatch(shard)?;
         }
         Ok(())
     }
@@ -825,57 +666,35 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         self.ingest_batch(stream.as_slice())
     }
 
-    /// Drains `shard`'s buffer and hands the batch to its worker.
-    /// `force_block` overrides the configured policy with blocking
-    /// semantics — used by [`IngestEngine::flush`], which must never shed
-    /// load.
-    fn dispatch(
-        &mut self,
-        shard: usize,
-        force_block: bool,
-    ) -> Result<DispatchOutcome, EngineError> {
-        self.faults.hit_result_at("engine::dispatch", Some(shard))?;
+    /// Drains `shard`'s buffer and hands the batch to its worker. A full
+    /// queue blocks the caller until the worker drains it — the engine's
+    /// one overload behaviour — supervising between waits, so a dead
+    /// worker is re-forked rather than waited on.
+    ///
+    /// A poisoned shard's worker never drains again. A batch its full
+    /// queue cannot take goes to the shard's quarantine, so its mass stays
+    /// accounted and [`IngestEngine::quarantined`] can hand it back.
+    fn dispatch(&mut self, shard: usize) -> Result<(), EngineError> {
+        let data = Arc::new(self.buffers[shard].drain_to_batch());
         let cell = Arc::clone(&self.handles[shard].cell);
-        let policy = if force_block {
-            BackpressurePolicy::Block
-        } else {
-            self.config.backpressure
-        };
-        match policy {
-            BackpressurePolicy::Block => {
-                let data = Arc::new(self.buffers[shard].drain_to_batch());
-                loop {
-                    if cell.try_push(Arc::clone(&data)) {
-                        return Ok(DispatchOutcome::Dispatched);
-                    }
-                    self.supervise();
-                    let (_, poisoned) = cell.wait_space(SUPERVISE_TICK);
-                    if poisoned {
-                        return Err(EngineError::ShardPoisoned { shard });
-                    }
-                }
+        loop {
+            if cell.try_push(Arc::clone(&data)) {
+                return Ok(());
             }
-            BackpressurePolicy::Reject | BackpressurePolicy::DegradeAggregate => {
-                if cell.is_full() {
-                    // A full queue can mean a dead worker: give the
-                    // supervisor a chance to re-fork it before concluding
-                    // this is genuine overload.
-                    self.supervise();
-                    if cell.is_full() {
-                        return Ok(DispatchOutcome::QueueFull);
-                    }
-                }
-                let (_, poisoned) = cell.sync_state(0);
-                if poisoned {
-                    return Err(EngineError::ShardPoisoned { shard });
-                }
-                let data = Arc::new(self.buffers[shard].drain_to_batch());
-                let pushed = cell.try_push(data);
-                debug_assert!(
-                    pushed,
-                    "single producer: space cannot vanish after the check"
+            self.supervise();
+            let (_, poisoned) = cell.wait_space(SUPERVISE_TICK);
+            if poisoned {
+                let (mass, updates) = (data.mass, data.updates.len());
+                cell.lock_always().quarantine(data);
+                fault::record(
+                    &self.fault_log,
+                    FaultEvent::BatchQuarantined {
+                        shard,
+                        mass,
+                        updates,
+                    },
                 );
-                Ok(DispatchOutcome::Dispatched)
+                return Err(EngineError::ShardPoisoned { shard });
             }
         }
     }
@@ -886,7 +705,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// plus the recovery journal, requeues any batch that was inflight when
     /// the worker died, and replays the surviving queue — so a worker death
     /// loses nothing. The engine supervises automatically whenever it waits
-    /// on a shard (dispatch under backpressure, flush barriers); calling
+    /// on a shard (dispatch to a full queue, flush barriers); calling
     /// this directly is only needed to reap a death while the engine is
     /// otherwise idle.
     pub fn supervise(&mut self) {
@@ -910,7 +729,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             // batch exactly like a caught batch panic (retry, then
             // quarantine), since the replacement's rebuilt state excludes
             // it.
-            match handle.cell.fail_inflight(self.config.max_batch_attempts) {
+            match handle.cell.fail_inflight() {
                 crate::queue::FailDisposition::Requeued { attempt, mass } => fault::record(
                     &self.fault_log,
                     FaultEvent::BatchPanicked {
@@ -944,8 +763,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                 self.faults.clone(),
                 WorkerConfig {
                     shard,
-                    max_batch_attempts: self.config.max_batch_attempts,
-                    checkpoint_interval: self.config.checkpoint_interval,
+                    checkpoint_interval: self.checkpoint_interval,
                 },
                 handle.generation,
             ));
@@ -955,11 +773,10 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// Dispatches every buffered batch and synchronizes every shard to a
     /// consistent checkpoint covering all admitted arrivals.
     ///
-    /// Flush never sheds load: pending batches are enqueued with blocking
-    /// semantics regardless of the configured backpressure policy, and the
-    /// barrier waits for every worker to drain its queue and publish a
-    /// checkpoint (supervising — and if necessary restarting — workers
-    /// while it waits). Called automatically before a query/merge.
+    /// Pending batches are dispatched like any other, and the barrier waits
+    /// for every worker to drain its queue and publish a checkpoint
+    /// (supervising — and if necessary restarting — workers while it
+    /// waits). Called automatically before a query/merge.
     ///
     /// # Errors
     ///
@@ -985,14 +802,14 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         Ok(())
     }
 
-    /// Dispatches every non-empty shard buffer with blocking semantics
-    /// (flush, swap and finish never shed load). Keeps going past a
-    /// poisoned shard and returns the first error.
+    /// Dispatches every non-empty shard buffer (for flush, swap and
+    /// finish). Keeps going past a poisoned shard and returns the first
+    /// error.
     fn dispatch_all(&mut self) -> Result<(), EngineError> {
         let mut first_err = None;
         for shard in 0..self.buffers.len() {
             if !self.buffers[shard].is_empty() {
-                if let Err(err) = self.dispatch(shard, true) {
+                if let Err(err) = self.dispatch(shard) {
                     first_err.get_or_insert(err);
                 }
             }
@@ -1048,7 +865,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// scheme — the online re-training hot-swap.
     ///
     /// No thread is stalled, stopped, or restarted: pending buffers are
-    /// dispatched with blocking semantics (a swap never sheds load), then
+    /// dispatched, then
     /// each shard is handed a swap request that its worker picks up as the
     /// next queue event after draining its batches. The worker retires its
     /// scratch delta — migrated out through the same
@@ -1058,7 +875,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// mid-swap is re-forked by the supervisor and redoes the still-pending
     /// request, so the swap completes exactly once per shard.
     ///
-    /// The conservation ledgers are untouched: admitted mass was either
+    /// The admitted counts are untouched: admitted mass was either
     /// applied (it leaves inside the returned backend), quarantined, or
     /// still buffered/queued — none of which the swap changes — so
     /// [`EngineStats::unaccounted_mass`] stays 0 across every swap.
@@ -1119,11 +936,6 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             Some(err) => Err(err),
             None => Ok(retired),
         }
-    }
-
-    /// The wrapped backend's report name.
-    pub fn backend_name(&self) -> &'static str {
-        self.base.backend_name()
     }
 
     /// Flushes all pending batches and returns the merged estimator view
@@ -1261,8 +1073,6 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                         }
                         Err(_) => {
                             inner.counters.batch_failures += 1;
-                            inner.counters.quarantined_updates += batch.data.updates.len() as u64;
-                            inner.counters.quarantined_mass += batch.data.mass;
                             fault::record(
                                 &self.fault_log,
                                 FaultEvent::BatchQuarantined {
@@ -1271,7 +1081,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                                     updates: batch.data.updates.len(),
                                 },
                             );
-                            inner.quarantined.push(batch.data);
+                            inner.quarantine(batch.data);
                         }
                     }
                 }
@@ -1319,7 +1129,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.ingested_elements(), 20_000);
         assert_eq!(stats.ingested_mass(), 20_000);
-        assert!(stats.conserved());
         assert_eq!(stats.unaccounted_mass(), 0);
         assert!(stats.flushes > 0);
         assert!(
@@ -1387,13 +1196,13 @@ mod tests {
             engine.ingest(&element(id)).unwrap();
             engine.ingest(&element(id)).unwrap();
         }
-        assert_eq!(engine.buffered(), 10);
         let stats = engine.stats();
         assert_eq!(stats.buffered_updates, 10);
         assert_eq!(stats.buffered_mass, 20);
         engine.flush().unwrap();
-        assert_eq!(engine.buffered(), 0);
-        assert_eq!(engine.stats().unaccounted_mass(), 0);
+        let stats = engine.stats();
+        assert_eq!(stats.buffered_updates, 0);
+        assert_eq!(stats.unaccounted_mass(), 0);
     }
 
     #[test]
@@ -1405,43 +1214,46 @@ mod tests {
         assert_eq!(err, EngineError::ZeroWeight { id: ElementId(7) });
         let stats = engine.stats();
         assert_eq!(stats.zero_weight_rejections, 1);
-        // Zero-weight updates carry no mass: the ledgers never saw them.
-        assert_eq!(stats.mass.offered, 2);
-        assert!(stats.conserved());
+        // Zero-weight updates carry no mass and are not admitted.
+        assert_eq!((stats.elements, stats.mass), (1, 2));
         assert_eq!(engine.query_synced(&element(7)).unwrap(), 2.0);
     }
 
     #[test]
-    fn degrade_policy_grows_the_buffer_without_losing_mass() {
-        // One shard, tiny batches, a depth-1 queue: all-distinct arrivals
-        // fill batches as fast as possible, so some dispatches find the
-        // queue full and degrade into the growing buffer.
-        let backend = CountMinSketch::new(256, 4, 5);
+    fn mixed_single_and_bulk_ingest_never_overfills_a_buffer() {
+        // Single and bulk arrivals share one routine, which dispatches a
+        // buffer the moment it reaches its limit: interleaved, they must
+        // never leave a shard holding more than `batch_capacity` distinct
+        // elements (`upsert` debug-asserts the same on every insert).
+        let backend = CountMinSketch::new(256, 4, 13);
         let mut sequential = backend.clone();
-        let mut engine = IngestEngine::new(
-            backend,
-            EngineConfig {
-                shards: 1,
-                batch_capacity: 4,
-                queue_capacity: 1,
-                backpressure: BackpressurePolicy::DegradeAggregate,
-                ..EngineConfig::default()
-            },
-        );
-        for id in 0..2_000u64 {
-            sequential.add(ElementId(id), 1);
-            engine.ingest(&element(id)).unwrap();
+        let mut engine = IngestEngine::new(backend, EngineConfig::with_shards(2).batch_capacity(4));
+        let mut next = 0u64;
+        for round in 0..600u64 {
+            let id = round * 7 % 101;
+            let count = 1 + round % 3;
+            engine.ingest_weighted(&element(id), count).unwrap();
+            sequential.add(ElementId(id), count);
+            assert!(engine.stats().buffered_updates <= 8, "round {round}");
+            // A slice of 0–5 distinct IDs, continuing around the universe.
+            let slice: Vec<StreamElement> =
+                (0..round % 6).map(|k| element((next + k) % 101)).collect();
+            next += round % 6;
+            engine.ingest_batch(&slice).unwrap();
+            for arrival in &slice {
+                sequential.add(arrival.id, 1);
+            }
+            assert!(engine.stats().buffered_updates <= 8, "round {round}");
         }
-        let stats = engine.stats();
-        assert!(stats.conserved());
-        assert_eq!(stats.ingested_elements(), 2_000);
-        assert_eq!(stats.unaccounted_mass(), 0);
-        for id in (0..2_000u64).step_by(97) {
+        engine.flush().unwrap();
+        for id in 0..120u64 {
             assert_eq!(
                 engine.query_synced(&element(id)).unwrap(),
-                CountMinSketch::query(&sequential, ElementId(id)) as f64
+                CountMinSketch::query(&sequential, ElementId(id)) as f64,
+                "mismatch for {id}"
             );
         }
+        assert_eq!(engine.stats().unaccounted_mass(), 0);
     }
 
     #[test]

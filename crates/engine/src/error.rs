@@ -1,16 +1,16 @@
 //! Typed errors for the ingest engine: every failure mode the engine can
-//! surface — overload, a poisoned shard, a zero-weight update, an injected
-//! fault — is an explicit [`EngineError`] variant instead of a panic.
+//! surface — a poisoned shard, a zero-weight update, an injected fault — is
+//! an explicit [`EngineError`] variant instead of a panic. Overload is not
+//! an error: a full shard queue blocks the producer until it drains.
 
 use opthash_stream::ElementId;
 use std::fmt;
 
 /// Error returned by the fallible [`crate::IngestEngine`] operations.
 ///
-/// The ingest and query paths never panic on runtime conditions: overload
-/// under [`crate::BackpressurePolicy::Reject`], a shard whose state was
-/// corrupted beyond recovery, and malformed updates all map to a variant
-/// here so callers can react (shed load, fail the request, re-route).
+/// The ingest and query paths never panic on runtime conditions: a shard
+/// whose state was corrupted beyond recovery and malformed updates map to a
+/// variant here so callers can react (fail the request, re-route).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -23,19 +23,12 @@ pub enum EngineError {
         /// ID of the element whose update carried weight 0.
         id: ElementId,
     },
-    /// The shard's worker queue is full and the engine is configured with
-    /// [`crate::BackpressurePolicy::Reject`]: the arrival was *not* admitted
-    /// and is counted in the rejected bucket of the engine's mass ledgers.
-    Overloaded {
-        /// Shard whose bounded queue was full.
-        shard: usize,
-        /// Queue capacity (in batches) at the time of rejection.
-        queue_capacity: usize,
-    },
     /// The shard's state is corrupt beyond what the supervisor can recover
     /// (a panic struck while the shard's snapshot was being replaced, so
     /// the last consistent checkpoint may be half-written). Queries and
-    /// flushes fail with this error instead of returning wrong counts.
+    /// flushes fail with this error instead of returning wrong counts. An
+    /// ingest call fails with it when the shard's full queue cannot take a
+    /// batch; that batch is quarantined, so its mass stays accounted.
     ShardPoisoned {
         /// The unrecoverable shard.
         shard: usize,
@@ -54,13 +47,6 @@ impl fmt::Display for EngineError {
             EngineError::ZeroWeight { id } => {
                 write!(f, "zero-weight update for element {id} rejected")
             }
-            EngineError::Overloaded {
-                shard,
-                queue_capacity,
-            } => write!(
-                f,
-                "shard {shard} overloaded: worker queue full ({queue_capacity} batches)"
-            ),
             EngineError::ShardPoisoned { shard } => {
                 write!(f, "shard {shard} poisoned: state unrecoverable after panic")
             }
@@ -79,15 +65,14 @@ mod tests {
 
     #[test]
     fn errors_render_their_context() {
-        let overload = EngineError::Overloaded {
-            shard: 3,
-            queue_capacity: 8,
-        };
-        assert!(overload.to_string().contains("shard 3"));
-        assert!(overload.to_string().contains("8 batches"));
         let zero = EngineError::ZeroWeight { id: ElementId(42) };
         assert!(zero.to_string().contains("e42"));
         let poisoned = EngineError::ShardPoisoned { shard: 1 };
+        assert!(poisoned.to_string().contains("shard 1"));
         assert!(poisoned.to_string().contains("unrecoverable"));
+        let injected = EngineError::FaultInjected {
+            failpoint: "engine::ingest",
+        };
+        assert!(injected.to_string().contains("'engine::ingest'"));
     }
 }

@@ -13,7 +13,6 @@
 //! | name                    | where it fires                               |
 //! |-------------------------|----------------------------------------------|
 //! | `engine::ingest`        | entry of every ingest call (error/delay)     |
-//! | `engine::dispatch`      | before a batch is enqueued (error/delay)     |
 //! | `worker::poll`          | top of the worker loop, outside batch apply  |
 //! | `worker::batch`         | once per batch, before its first update      |
 //! | `worker::apply`         | before every single update of a batch        |
@@ -28,10 +27,10 @@
 //! quarantine; a panic at `worker::checkpoint` poisons the shard
 //! (exercising the typed [`crate::EngineError::ShardPoisoned`] query path);
 //! a delay at `worker::batch` throttles a shard's drain rate (exercising
-//! backpressure); a panic at `worker::swap` kills the worker *during a
-//! scheme hot-swap* with the swap request still pending — the supervisor's
-//! replacement worker rebuilds the pre-swap scratch and redoes the swap,
-//! exercising the exactly-once publish protocol of
+//! a producer blocked on a full queue); a panic at `worker::swap` kills the
+//! worker *during a scheme hot-swap* with the swap request still pending —
+//! the supervisor's replacement worker rebuilds the pre-swap scratch and
+//! redoes the swap, exercising the exactly-once publish protocol of
 //! [`crate::IngestEngine::swap_backend`]; a delay at `worker::publish`
 //! holds back a checkpoint's or swap's query-slot publication, exercising
 //! that `flush` and `swap_backend` wait for it. Without the feature every
@@ -63,9 +62,8 @@ pub enum FaultAction {
     /// overload deterministically: delaying `worker::batch` pins a shard's
     /// drain rate so an offered stream exceeds it by a known factor.
     Delay(Duration),
-    /// Return [`EngineError::FaultInjected`] from failpoints on fallible
-    /// paths (`engine::ingest`, `engine::dispatch`). Ignored at
-    /// infallible points.
+    /// Return [`EngineError::FaultInjected`] from the one failpoint on a
+    /// fallible path, `engine::ingest`. Ignored at infallible points.
     Error,
 }
 
@@ -214,9 +212,7 @@ impl FaultInjector {
     /// assert!(engine.query_synced(&StreamElement::without_features(7u64))? >= 200.0);
     /// // The recovery is visible, not silent.
     /// assert!(engine.fault_log().worker_restarts() >= 1);
-    /// let stats = engine.stats();
-    /// assert!(stats.conserved());
-    /// assert_eq!(stats.unaccounted_mass(), 0);
+    /// assert_eq!(engine.stats().unaccounted_mass(), 0);
     /// # Ok::<(), opthash_engine::EngineError>(())
     /// ```
     pub fn program(&self, name: &str, plan: FaultPlan) {
@@ -333,10 +329,10 @@ pub enum FaultEvent {
         /// Count mass carried by the batch.
         mass: u64,
     },
-    /// A batch exhausted its application attempts and was quarantined — set
-    /// aside, fully accounted, retrievable via
-    /// [`crate::IngestEngine::quarantined`] — instead of being retried
-    /// forever.
+    /// A batch was quarantined — set aside, fully accounted, retrievable
+    /// via [`crate::IngestEngine::quarantined`] — because it exhausted its
+    /// application attempts, or because its shard was poisoned and its
+    /// full queue could not take it.
     BatchQuarantined {
         /// Shard that quarantined the batch.
         shard: usize,

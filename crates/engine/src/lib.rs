@@ -5,8 +5,8 @@
 //! `opthash-sketch` *and* the learned `opt-hash` estimators of the core
 //! crate — absorb heavy update traffic through one interface:
 //!
-//! * [`SketchBackend`] — weighted update / point query / fork / merge /
-//!   space accounting, implemented by [`opthash_sketch::CountMinSketch`],
+//! * [`SketchBackend`] — weighted update / point query / fork / merge,
+//!   implemented by [`opthash_sketch::CountMinSketch`],
 //!   [`opthash_sketch::CountSketch`], [`opthash_sketch::LearnedCountMin`],
 //!   [`opthash_sketch::MisraGries`], [`opthash::OptHash`] and
 //!   [`opthash::AdaptiveOptHash`];
@@ -30,17 +30,18 @@
 //!
 //! The engine treats overload and partial failure as ordinary inputs, not
 //! panics, and upholds one invariant throughout: **no admitted arrival is
-//! ever silently lost, and no offered arrival is ever unaccounted.**
+//! ever silently lost.** [`EngineStats::unaccounted_mass`] locates every
+//! admitted unit as applied, buffered, queued or quarantined, and reads 0.
 //!
 //! * **Backpressure** — when a shard's bounded queue is full, the
-//!   configured [`BackpressurePolicy`] decides: block (lossless), reject
-//!   with [`EngineError::Overloaded`] (every rejection is counted), or
-//!   degrade into deeper pre-aggregation (mass preserved in the buffer).
-//!   [`EngineStats::conserved`] checks the resulting ledger identity.
+//!   ingesting thread blocks until the worker drains it, supervising while
+//!   it waits. A shard buffer is dispatched the moment it reaches its batch
+//!   capacity, so it never grows past it.
 //! * **Panic isolation** — a panic inside batch application is confined to
 //!   the shard worker's scratch state; the batch is retried and, after
-//!   `max_batch_attempts`, quarantined as a poison pill
-//!   ([`IngestEngine::quarantined`] exposes its updates).
+//!   three attempts, quarantined as a poison pill
+//!   ([`IngestEngine::quarantined`] exposes its updates). A batch that a
+//!   poisoned shard's full queue cannot take is quarantined the same way.
 //! * **Supervision** — a worker death is detected by the engine, which
 //!   re-forks the shard from its last checkpoint, replays the recovery
 //!   journal and surviving queue, and records a
@@ -150,7 +151,7 @@ pub mod snapshot;
 mod worker;
 
 pub use backend::SketchBackend;
-pub use engine::{BackpressurePolicy, EngineConfig, EngineStats, IngestEngine};
+pub use engine::{EngineConfig, EngineStats, IngestEngine};
 pub use error::EngineError;
 #[cfg(feature = "failpoints")]
 pub use fault::{FaultAction, FaultPlan};

@@ -30,7 +30,8 @@
 //!   shared with the shard's [`crate::snapshot::PublishedSlot`] so
 //!   publishing a wait-free query snapshot costs one `Arc` clone;
 //! * `quarantined` — poison-pill batches set aside after exhausting their
-//!   application attempts, retained so their mass stays accounted.
+//!   application attempts, and batches a poisoned shard could not take,
+//!   retained so their mass stays accounted.
 //!
 //! Dispatched-but-unapplied mass is tracked in a plain atomic
 //! (`queued_mass`) rather than a locked counter: the producer credits it
@@ -61,6 +62,10 @@ const SPIN_LIMIT: usize = 64;
 /// timer only ever fires on an *idle* shard, where frequent spurious wakes
 /// would steal cycles from the ingest thread (acute on few-core hosts).
 const PARK_BACKSTOP: Duration = Duration::from_millis(25);
+
+/// Application attempts before a panicking batch is quarantined as a
+/// poison pill instead of being retried forever.
+const MAX_BATCH_ATTEMPTS: u32 = 3;
 
 /// Pads a value to its own cache line so the producer's tail index and the
 /// consumer's head index never false-share.
@@ -259,6 +264,15 @@ pub(crate) struct ControlInner<B> {
     pub poisoned: bool,
 }
 
+impl<B> ControlInner<B> {
+    /// Sets a batch aside in the quarantine, keeping its mass accounted.
+    pub fn quarantine(&mut self, data: Arc<BatchData>) {
+        self.counters.quarantined_updates += data.updates.len() as u64;
+        self.counters.quarantined_mass += data.mass;
+        self.quarantined.push(data);
+    }
+}
+
 /// What the worker should do next (see [`ShardChannel::next_event`]).
 pub(crate) enum WorkerEvent<B> {
     /// Apply this batch (already marked inflight).
@@ -363,11 +377,6 @@ impl<B: SketchBackend> ShardChannel<B> {
     }
 
     // -- engine (producer) side --------------------------------------------
-
-    /// `true` if the ring has no room for another batch (lock-free).
-    pub fn is_full(&self) -> bool {
-        self.ring.len() >= self.capacity
-    }
 
     /// Whether the shard is poisoned (lock-free mirror).
     pub fn is_poisoned(&self) -> bool {
@@ -477,13 +486,6 @@ impl<B: SketchBackend> ShardChannel<B> {
         drop(inner);
         self.work.notify_all();
         epoch
-    }
-
-    /// Whether the barrier for `epoch` has completed, and whether the shard
-    /// is poisoned.
-    pub fn sync_state(&self, epoch: u64) -> (bool, bool) {
-        let inner = self.lock_always();
-        (inner.acked_epoch >= epoch, inner.poisoned)
     }
 
     /// Requests a scheme hot-swap to `version`: once the worker drains its
@@ -643,8 +645,8 @@ impl<B: SketchBackend> ShardChannel<B> {
 
     /// Fails the inflight batch (after a caught panic or a worker death):
     /// requeues it at the front of the retry deque for another attempt, or
-    /// quarantines it once `max_attempts` attempts are exhausted.
-    pub fn fail_inflight(&self, max_attempts: u32) -> FailDisposition {
+    /// quarantines it once `MAX_BATCH_ATTEMPTS` attempts are exhausted.
+    pub fn fail_inflight(&self) -> FailDisposition {
         let mut inner = self.lock_always();
         let Some(batch) = inner.inflight.take() else {
             return FailDisposition::Idle;
@@ -652,12 +654,10 @@ impl<B: SketchBackend> ShardChannel<B> {
         inner.counters.batch_failures += 1;
         let attempt = batch.attempts + 1;
         let mass = batch.data.mass;
-        if attempt >= max_attempts {
+        if attempt >= MAX_BATCH_ATTEMPTS {
             let updates = batch.data.updates.len();
             self.queued_mass.fetch_sub(mass, Ordering::AcqRel);
-            inner.counters.quarantined_updates += updates as u64;
-            inner.counters.quarantined_mass += mass;
-            inner.quarantined.push(batch.data);
+            inner.quarantine(batch.data);
             drop(inner);
             self.progress.notify_all();
             FailDisposition::Quarantined { mass, updates }
@@ -889,7 +889,6 @@ mod tests {
         let cell = Arc::new(channel(2));
         assert!(cell.try_push(batch(1, 10)));
         assert!(cell.try_push(batch(2, 20)));
-        assert!(cell.is_full());
         assert!(!cell.try_push(batch(3, 30)), "full ring rejects the push");
         assert_eq!(cell.queued_mass(), 30);
         cell.close();
@@ -928,7 +927,7 @@ mod tests {
                             // Fail the very first batch once so it lands in
                             // the retry deque and must come back first.
                             if masses.is_empty() && b.attempts == 0 && b.data.mass == 7 {
-                                cell.fail_inflight(3);
+                                cell.fail_inflight();
                                 continue;
                             }
                             masses.push((b.data.mass, b.attempts));

@@ -8,8 +8,8 @@
 //!
 //! * a panic during batch application corrupts only the scratch state — the
 //!   worker discards it, rebuilds from `snapshot ⊕ journal`, and the failed
-//!   batch is retried (then quarantined after `max_batch_attempts`
-//!   attempts, so a poison pill can't wedge the shard forever);
+//!   batch is retried (then quarantined after three attempts, so a poison
+//!   pill can't wedge the shard forever);
 //! * a panic that escapes the loop kills the thread — the engine's
 //!   supervisor detects the death, requeues any inflight batch, spawns a
 //!   replacement worker of the next generation, and the replacement rebuilds
@@ -30,7 +30,6 @@ use std::thread::JoinHandle;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WorkerConfig {
     pub shard: usize,
-    pub max_batch_attempts: u32,
     pub checkpoint_interval: u32,
 }
 
@@ -190,7 +189,7 @@ fn run_worker<B: SketchBackend>(
                         // The scratch state is suspect (the panic may have
                         // struck mid-update): disposition the batch, then
                         // rebuild scratch from the last consistent state.
-                        match cell.fail_inflight(config.max_batch_attempts) {
+                        match cell.fail_inflight() {
                             FailDisposition::Requeued { attempt, mass } => fault::record(
                                 &log,
                                 FaultEvent::BatchPanicked {

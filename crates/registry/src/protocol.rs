@@ -331,6 +331,16 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_count_sketch_never_answers_negative_zero() {
+        let mut registry = SketchRegistry::unbounded();
+        let mut run = |line: &str| Command::parse(line).unwrap().execute(&mut registry);
+        assert_eq!(run("CREATE cs count-sketch:64x4"), "OK t0");
+        for id in 0..200u64 {
+            assert_eq!(run(&format!("QUERY cs {id}")), "OK 0", "id {id}");
+        }
+    }
+
+    #[test]
     fn weights_past_the_mass_limit_change_nothing() {
         let mut registry = SketchRegistry::unbounded();
         let mut run = |line: &str| Command::parse(line).unwrap().execute(&mut registry);

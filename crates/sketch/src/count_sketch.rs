@@ -205,7 +205,14 @@ impl FrequencyEstimator for CountSketch {
     }
 
     fn estimate(&self, element: &StreamElement) -> f64 {
-        self.query_signed(element.id).max(0.0)
+        // A frequency is never negative. Compare instead of `f64::max`,
+        // which may return a median of -0.0 with its sign.
+        let signed = self.query_signed(element.id);
+        if signed > 0.0 {
+            signed
+        } else {
+            0.0
+        }
     }
 
     fn space_bytes(&self) -> usize {
@@ -294,12 +301,26 @@ mod tests {
                 saw_negative_signed = true;
             }
             let est = cs.estimate(&StreamElement::without_features(id));
-            assert!(est >= 0.0);
+            assert!(est >= 0.0 && est.is_sign_positive(), "id {id}: {est}");
         }
         assert!(
             saw_negative_signed,
             "expected at least one negative signed estimate"
         );
+        // A zero counter under a -1 sign gives a -0.0 median; the estimate
+        // must still be +0.0 (it is printed, and `-0` is not a frequency).
+        for depth in 3..=5 {
+            for seed in 0..4 {
+                let empty = CountSketch::new(64, depth, seed);
+                for id in 0..200u64 {
+                    let est = empty.estimate(&StreamElement::without_features(id));
+                    assert!(
+                        est == 0.0 && est.is_sign_positive(),
+                        "depth {depth} seed {seed} id {id}: {est}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

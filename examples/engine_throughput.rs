@@ -187,7 +187,6 @@ fn engine_measurement(
     }
     let mut engine = engine.expect("at least one trial ran");
     let stats = engine.stats();
-    assert!(stats.conserved(), "{name}: intake ledger must balance");
     assert_eq!(stats.unaccounted_mass(), 0, "{name}: mass unaccounted");
 
     // Exactness check against the sequential baseline before timing queries
@@ -286,7 +285,6 @@ fn saturation_measurement(
     let (latencies, epoch_advances) = handle.join().expect("reader thread panicked");
     engine.flush().expect("flush after saturation");
     let stats = engine.stats();
-    assert!(stats.conserved(), "saturation: intake ledger must balance");
     assert_eq!(stats.unaccounted_mass(), 0, "saturation: mass unaccounted");
 
     let queries = latencies.len() as u64;

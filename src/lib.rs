@@ -38,9 +38,9 @@ pub mod prelude {
     pub use opthash_datagen::groups::{GroupConfig, GroupDataset};
     pub use opthash_datagen::querylog::{QueryLogConfig, QueryLogDataset};
     pub use opthash_engine::{
-        BackpressurePolicy, EngineConfig, EngineError, EngineStats, EpochStamp, FaultEvent,
-        FaultInjector, FaultLog, IngestEngine, RetrainConfig, RetrainStats, Retrainer,
-        SketchBackend, SnapshotEstimate, SnapshotReader, TrainedScheme,
+        EngineConfig, EngineError, EngineStats, EpochStamp, FaultEvent, FaultInjector, FaultLog,
+        IngestEngine, RetrainConfig, RetrainStats, Retrainer, SketchBackend, SnapshotEstimate,
+        SnapshotReader, TrainedScheme,
     };
     #[cfg(feature = "failpoints")]
     pub use opthash_engine::{FaultAction, FaultPlan};

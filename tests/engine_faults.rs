@@ -7,14 +7,14 @@
 //!   queries vs the sequential reference for linear backends, with zero
 //!   unaccounted mass and the supervisor restart visible in the
 //!   [`FaultLog`];
-//! * a poison-pill batch is quarantined after `max_batch_attempts`
-//!   attempts, its mass stays accounted, and re-applying the quarantined
-//!   updates reproduces the sequential reference exactly;
+//! * a poison-pill batch is quarantined after three attempts, its mass
+//!   stays accounted, and re-applying the quarantined updates reproduces
+//!   the sequential reference exactly;
 //! * a panic inside the checkpoint critical section fences the shard off
-//!   with the typed [`EngineError::ShardPoisoned`] instead of wrong counts;
-//! * under deterministic overload (delayed batch application), Block loses
-//!   nothing, Reject accounts every rejection, and DegradeAggregate
-//!   preserves total mass.
+//!   with the typed [`EngineError::ShardPoisoned`] instead of wrong counts,
+//!   and batches sent to the fenced-off shard are quarantined, not lost;
+//! * under deterministic overload (delayed batch application), a producer
+//!   blocked on a full queue loses nothing.
 
 #![cfg(feature = "failpoints")]
 
@@ -143,7 +143,6 @@ fn killing_any_worker_mid_stream_is_bit_identical() {
             .flush()
             .expect("flush must recover through the death");
         let stats = engine.stats();
-        assert!(stats.conserved(), "victim {victim}: ledger must balance");
         assert_eq!(
             stats.unaccounted_mass(),
             0,
@@ -183,7 +182,6 @@ fn death_between_apply_and_commit_applies_exactly_once() {
     assert_eq!(log.worker_restarts(), 1);
     assert!(log.batch_panics() >= 1, "the uncommitted batch is requeued");
     let stats = engine.stats();
-    assert!(stats.conserved());
     assert_eq!(stats.unaccounted_mass(), 0);
     assert_bit_identical(&mut engine, &reference, 1_000, "pre-commit death");
 }
@@ -193,8 +191,8 @@ fn death_between_apply_and_commit_applies_exactly_once() {
 // ---------------------------------------------------------------------------
 
 /// A batch that panics on every application attempt is quarantined after
-/// `max_batch_attempts`, fully accounted; re-applying the quarantined
-/// updates reproduces the sequential reference exactly.
+/// three attempts, fully accounted; re-applying the quarantined updates
+/// reproduces the sequential reference exactly.
 #[test]
 fn poison_pill_batch_is_quarantined_and_reapplyable() {
     quiet_injected_panics();
@@ -202,9 +200,7 @@ fn poison_pill_batch_is_quarantined_and_reapplyable() {
     let reference = sequential_reference(&ids);
     let mut engine = IngestEngine::new(
         CountMinSketch::new(512, 4, 9),
-        EngineConfig::with_shards(3)
-            .batch_capacity(64)
-            .max_batch_attempts(3),
+        EngineConfig::with_shards(3).batch_capacity(64),
     );
     // Panic on the first update of shard 1's inflight batch, three times in
     // a row: one batch exhausts all three of its attempts.
@@ -220,7 +216,6 @@ fn poison_pill_batch_is_quarantined_and_reapplyable() {
     assert_eq!(log.quarantines(), 1, "exactly one poison pill: {log:?}");
     assert_eq!(log.batch_panics(), 2, "two retries before quarantine");
     assert!(stats.quarantined_mass > 0);
-    assert!(stats.conserved());
     assert_eq!(
         stats.unaccounted_mass(),
         0,
@@ -291,6 +286,54 @@ fn checkpoint_panic_poisons_the_shard() {
     );
 }
 
+/// A poisoned shard's worker never drains its queue again. Once that queue
+/// is full, every batch dispatched to the shard must go to its quarantine
+/// — retrievable and fully accounted — instead of being dropped.
+#[test]
+fn batches_sent_to_a_poisoned_shard_are_quarantined() {
+    quiet_injected_panics();
+    let mut engine = IngestEngine::new(
+        CountMinSketch::new(512, 4, 9),
+        EngineConfig::with_shards(1)
+            .batch_capacity(16)
+            .queue_capacity(2),
+    );
+    engine
+        .fault_injector()
+        .program("worker::checkpoint@0", FaultPlan::panic().on_hit(1));
+    for id in 0..10u64 {
+        engine.ingest(&element(id)).unwrap();
+    }
+    assert_eq!(
+        engine
+            .flush()
+            .expect_err("the checkpoint panic poisons the shard"),
+        EngineError::ShardPoisoned { shard: 0 }
+    );
+    let mut errors = 0u64;
+    for id in 0..2_000u64 {
+        match engine.ingest(&element(id % 500)) {
+            Ok(()) => {}
+            Err(EngineError::ShardPoisoned { shard: 0 }) => errors += 1,
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+    }
+    assert!(errors > 0, "the dead shard's queue must fill up");
+    let stats = engine.stats();
+    assert_eq!(
+        stats.unaccounted_mass(),
+        0,
+        "refused batches must stay accounted: {stats:?}"
+    );
+    assert_eq!(stats.ingested_mass(), 2_010, "every arrival is admitted");
+    assert!(stats.quarantined_mass > 0);
+    assert_eq!(
+        engine.quarantined().iter().map(|(_, c)| c).sum::<u64>(),
+        stats.quarantined_mass
+    );
+    assert_eq!(engine.fault_log().quarantines() as u64, errors);
+}
+
 /// The `Error` action surfaces the typed [`EngineError::FaultInjected`] on
 /// fallible paths — the cheap way to test caller-side error handling.
 #[test]
@@ -315,18 +358,17 @@ fn error_action_surfaces_typed_error() {
 // ---------------------------------------------------------------------------
 
 /// Overload fixture: one shard whose worker sleeps on every batch, so the
-/// offered rate exceeds the drain rate by construction. The overload tests
-/// feed it [`mixed_arrivals`]: its uniform tail keeps the 64-id batches
+/// offered rate exceeds the drain rate by construction. The overload test
+/// feeds it [`mixed_arrivals`]: its uniform tail keeps the 64-id batches
 /// filling and dispatching throughout the stream, while a head-only stream
 /// collapses into so few batches that the producer barely outpaces the
 /// drain.
-fn overloaded_engine(policy: BackpressurePolicy) -> IngestEngine<CountMinSketch> {
+fn overloaded_engine() -> IngestEngine<CountMinSketch> {
     let engine = IngestEngine::new(
         CountMinSketch::new(512, 4, 9),
         EngineConfig::with_shards(1)
             .batch_capacity(64)
-            .queue_capacity(2)
-            .backpressure(policy),
+            .queue_capacity(2),
     );
     engine
         .fault_injector()
@@ -334,86 +376,21 @@ fn overloaded_engine(policy: BackpressurePolicy) -> IngestEngine<CountMinSketch>
     engine
 }
 
-/// Block: every arrival is admitted (the producer stalls instead), so the
-/// result equals the sequential reference and nothing is rejected.
+/// Every arrival is admitted (the producer stalls on the full queue
+/// instead), so the result equals the sequential reference.
 #[test]
-fn block_policy_loses_nothing_under_overload() {
+fn blocking_loses_nothing_under_overload() {
     let ids = mixed_arrivals(20_000, 3_000, 21);
     let reference = sequential_reference(&ids);
-    let mut engine = overloaded_engine(BackpressurePolicy::Block);
+    let mut engine = overloaded_engine();
     for &id in &ids {
         engine.ingest(&element(id)).unwrap();
     }
     engine.flush().unwrap();
     let stats = engine.stats();
-    assert_eq!(stats.mass.rejected, 0, "Block never sheds load");
-    assert_eq!(stats.mass.degraded, 0, "Block never degrades");
     assert_eq!(stats.ingested_mass(), ids.len() as u64);
-    assert!(stats.conserved());
     assert_eq!(stats.unaccounted_mass(), 0);
-    assert_bit_identical(&mut engine, &reference, 3_000, "Block overload");
-}
-
-/// Reject: overloaded arrivals fail with the typed error; the ledger counts
-/// exactly the surfaced rejections, and the admitted arrivals alone
-/// reproduce the sequential reference.
-#[test]
-fn reject_policy_accounts_every_rejection_under_overload() {
-    let ids = mixed_arrivals(20_000, 3_000, 22);
-    let mut engine = overloaded_engine(BackpressurePolicy::Reject);
-    let mut admitted = Vec::new();
-    let mut rejections = 0u64;
-    for &id in &ids {
-        match engine.ingest(&element(id)) {
-            Ok(()) => admitted.push(id),
-            Err(EngineError::Overloaded { shard, .. }) => {
-                assert_eq!(shard, 0);
-                rejections += 1;
-            }
-            Err(other) => panic!("unexpected error under Reject: {other}"),
-        }
-    }
-    assert!(
-        rejections > 0,
-        "the overload fixture must actually overload"
-    );
-    engine.flush().unwrap();
-    let stats = engine.stats();
-    assert_eq!(stats.mass.offered, ids.len() as u64);
-    assert_eq!(
-        stats.mass.rejected, rejections,
-        "ledger must count exactly the surfaced rejections"
-    );
-    assert_eq!(stats.ingested_mass(), admitted.len() as u64);
-    assert!(stats.conserved());
-    assert_eq!(stats.unaccounted_mass(), 0);
-    let reference = sequential_reference(&admitted);
-    assert_bit_identical(&mut engine, &reference, 3_000, "Reject overload");
-}
-
-/// DegradeAggregate: overloaded arrivals collapse into the growing shard
-/// buffer instead of being shed — total mass is preserved and the final
-/// result is exactly the sequential one.
-#[test]
-fn degrade_policy_preserves_total_mass_under_overload() {
-    let ids = mixed_arrivals(20_000, 3_000, 23);
-    let reference = sequential_reference(&ids);
-    let mut engine = overloaded_engine(BackpressurePolicy::DegradeAggregate);
-    for &id in &ids {
-        engine.ingest(&element(id)).unwrap();
-    }
-    let mid_stats = engine.stats();
-    assert!(
-        mid_stats.mass.degraded > 0,
-        "the overload fixture must actually degrade"
-    );
-    engine.flush().unwrap();
-    let stats = engine.stats();
-    assert_eq!(stats.mass.rejected, 0, "DegradeAggregate never sheds load");
-    assert_eq!(stats.ingested_mass(), ids.len() as u64);
-    assert!(stats.conserved());
-    assert_eq!(stats.unaccounted_mass(), 0);
-    assert_bit_identical(&mut engine, &reference, 3_000, "Degrade overload");
+    assert_bit_identical(&mut engine, &reference, 3_000, "blocking overload");
 }
 
 // ---------------------------------------------------------------------------
@@ -464,15 +441,12 @@ fn swap_publish_panic_recovers_and_redoes_the_swap() {
                 "victim {victim}: retired counts diverged at id {id}"
             );
         }
-        let stats = engine.stats();
-        assert!(stats.conserved(), "victim {victim}: ledger must balance");
-        assert_eq!(stats.unaccounted_mass(), 0);
+        assert_eq!(engine.stats().unaccounted_mass(), 0);
         for &id in &post {
             engine.ingest(&element(id)).unwrap();
         }
         assert_bit_identical(&mut engine, &reference_post, 1_500, "post-swap stream");
         let stats = engine.stats();
-        assert!(stats.conserved());
         assert_eq!(stats.unaccounted_mass(), 0);
         assert_eq!(
             stats.quarantined_mass, 0,

@@ -1,6 +1,7 @@
 //! Property-based tests of the ingest engine's merge algebra, sharding
-//! invariants, and mass-conservation ledgers under every backpressure
-//! policy (with `--features failpoints`, also under injected panics).
+//! invariants, and mass conservation through full queues, hot-swaps and
+//! snapshot reads (with `--features failpoints`, also under injected
+//! panics).
 
 use opthash_repro::prelude::*;
 use proptest::prelude::*;
@@ -12,7 +13,7 @@ fn weighted_updates(max_distinct: u64, max_len: usize) -> impl Strategy<Value = 
 }
 
 /// Strategy for a Zipf-like skewed update sequence: low ids dominate, the
-/// tail is long — the regime where pre-aggregation and degradation matter.
+/// tail is long — the regime where pre-aggregation matters.
 fn zipfish_updates(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec(0u64..1_000_000, 1..max_len).prop_map(|draws| {
         draws
@@ -33,58 +34,41 @@ fn apply<B: SketchBackend>(backend: &mut B, updates: &[(u64, u64)]) {
     }
 }
 
-/// Feeds `ups` through an engine under `policy`, then checks the
-/// conservation contract: ledgers balance, no admitted mass is unlocatable
-/// after a flush, and the merged estimator equals the same backend fed only
-/// the *admitted* updates sequentially.
-fn check_policy_conserves(
-    policy: BackpressurePolicy,
-    ups: &[(u64, u64)],
-    shards: usize,
-    batch: usize,
-) -> Result<(), String> {
+/// Feeds `ups` through an engine with depth-2 shard queues, so producers
+/// block on full queues often, then checks the conservation contract: every
+/// update is admitted, no admitted mass is unlocatable after a flush, and
+/// the merged estimator equals the same backend fed the updates
+/// sequentially.
+fn check_blocking_conserves(ups: &[(u64, u64)], shards: usize, batch: usize) -> Result<(), String> {
     let backend = CountMinSketch::new(128, 4, 11);
     let mut engine = IngestEngine::new(
         backend.clone(),
         EngineConfig::with_shards(shards)
             .batch_capacity(batch)
-            .queue_capacity(2)
-            .backpressure(policy),
+            .queue_capacity(2),
     );
-    let mut admitted = Vec::new();
-    let mut offered_mass = 0u64;
-    let mut rejected_mass = 0u64;
     for &(id, count) in ups {
-        offered_mass += count;
-        match engine.ingest_weighted(&StreamElement::without_features(id), count) {
-            Ok(()) => admitted.push((id, count)),
-            Err(EngineError::Overloaded { .. }) => rejected_mass += count,
-            Err(other) => return Err(format!("unexpected error: {other}")),
-        }
+        engine
+            .ingest_weighted(&StreamElement::without_features(id), count)
+            .map_err(|err| format!("unexpected error: {err}"))?;
     }
     engine.flush().expect("flush after clean ingest");
     let stats = engine.stats();
-    prop_assert!(stats.conserved(), "ledger must balance under {policy:?}");
-    prop_assert_eq!(stats.mass.offered, offered_mass);
-    prop_assert_eq!(stats.mass.rejected, rejected_mass);
+    prop_assert_eq!(stats.mass, ups.iter().map(|&(_, count)| count).sum::<u64>());
     prop_assert_eq!(
         stats.unaccounted_mass(),
         0,
-        "admitted mass must be locatable after flush under {policy:?}"
+        "admitted mass must be locatable after flush"
     );
-    if !matches!(policy, BackpressurePolicy::Reject) {
-        prop_assert_eq!(rejected_mass, 0, "only Reject may shed load");
-    }
     let mut sequential = backend;
-    apply(&mut sequential, &admitted);
+    apply(&mut sequential, ups);
     for id in 0..520u64 {
         prop_assert_eq!(
             engine
                 .query_synced(&StreamElement::without_features(id))
                 .expect("query after clean ingest"),
             SketchBackend::query(&sequential, &StreamElement::without_features(id)),
-            "{:?} diverged from sequential replay of admitted updates at id {}",
-            policy,
+            "diverged from sequential replay at id {}",
             id
         );
     }
@@ -185,80 +169,45 @@ proptest! {
         }
     }
 
-    /// Mass conservation under [`BackpressurePolicy::Block`]: nothing is
+    /// Mass conservation when producers block on full queues: nothing is
     /// ever shed, and the result is exactly the sequential one.
     #[test]
-    fn block_policy_conserves_mass(
+    fn blocking_ingest_conserves_mass(
         ups in zipfish_updates(400),
         shards in 1usize..5,
         batch in 1usize..32,
     ) {
-        check_policy_conserves(BackpressurePolicy::Block, &ups, shards, batch)?;
-    }
-
-    /// Mass conservation under [`BackpressurePolicy::Reject`]: every
-    /// rejection is surfaced to the caller *and* counted in the ledger, and
-    /// the merged result equals sequential replay of the admitted updates.
-    #[test]
-    fn reject_policy_accounts_every_rejection(
-        ups in zipfish_updates(400),
-        shards in 1usize..5,
-        batch in 1usize..32,
-    ) {
-        check_policy_conserves(BackpressurePolicy::Reject, &ups, shards, batch)?;
-    }
-
-    /// Mass conservation under [`BackpressurePolicy::DegradeAggregate`]:
-    /// degraded arrivals stay in the (growing) buffer, so the final result
-    /// is still exactly the sequential one.
-    #[test]
-    fn degrade_policy_conserves_mass(
-        ups in zipfish_updates(400),
-        shards in 1usize..5,
-        batch in 1usize..32,
-    ) {
-        check_policy_conserves(BackpressurePolicy::DegradeAggregate, &ups, shards, batch)?;
+        check_blocking_conserves(&ups, shards, batch)?;
     }
 
     /// A scheme hot-swap ([`IngestEngine::swap_backend`]) must conserve
-    /// mass under **every** backpressure policy, for arbitrary
-    /// interleavings of ingest, swap, and flush: the ledger balances and
-    /// zero admitted mass is unaccounted after each swap.
+    /// mass for arbitrary interleavings of ingest, swap, and flush over
+    /// depth-2 queues: zero admitted mass is unaccounted after each swap.
     #[test]
-    fn hot_swap_conserves_mass_under_every_policy(
+    fn hot_swap_conserves_mass(
         ups in zipfish_updates(300),
         shards in 1usize..5,
         batch in 1usize..16,
-        policy_pick in 0usize..3,
         swap_gap in 7usize..60,
     ) {
-        let policy = [
-            BackpressurePolicy::Block,
-            BackpressurePolicy::Reject,
-            BackpressurePolicy::DegradeAggregate,
-        ][policy_pick];
         let base = CountMinSketch::new(128, 4, 11);
         let mut engine = IngestEngine::new(
             base.clone(),
             EngineConfig::with_shards(shards)
                 .batch_capacity(batch)
-                .queue_capacity(2)
-                .backpressure(policy),
+                .queue_capacity(2),
         );
         let mut swaps = 0u64;
         for (i, &(id, count)) in ups.iter().enumerate() {
-            match engine.ingest_weighted(&StreamElement::without_features(id), count) {
-                Ok(()) | Err(EngineError::Overloaded { .. }) => {}
-                Err(other) => return Err(format!("unexpected error: {other}")),
-            }
+            engine
+                .ingest_weighted(&StreamElement::without_features(id), count)
+                .map_err(|err| format!("unexpected error: {err}"))?;
             if (i + 1) % swap_gap == 0 {
                 engine.swap_backend(base.clone()).expect("hot swap");
                 swaps += 1;
-                let stats = engine.stats();
-                prop_assert!(stats.conserved(), "ledger must balance right after swap {swaps}");
                 prop_assert_eq!(
-                    stats.unaccounted_mass(), 0,
-                    "swap {} left mass unaccounted under {:?}", swaps, policy
+                    engine.stats().unaccounted_mass(), 0,
+                    "swap {} left mass unaccounted", swaps
                 );
             } else if (i + 1) % (swap_gap * 2) == swap_gap / 2 {
                 engine.flush().expect("interleaved flush");
@@ -266,9 +215,7 @@ proptest! {
         }
         prop_assert_eq!(engine.scheme_version(), swaps);
         engine.flush().expect("final flush");
-        let stats = engine.stats();
-        prop_assert!(stats.conserved());
-        prop_assert_eq!(stats.unaccounted_mass(), 0);
+        prop_assert_eq!(engine.stats().unaccounted_mass(), 0);
     }
 
     /// For linear backends, migrating counts through the fork/merge
@@ -328,8 +275,8 @@ proptest! {
     }
 
     /// Wait-free snapshot reads stay coherent through **arbitrary
-    /// interleavings** of ingest, hot-swap, flush, and snapshot queries,
-    /// under every backpressure policy:
+    /// interleavings** of ingest, hot-swap, flush, and snapshot queries
+    /// over depth-2 queues:
     ///
     /// * between operations the stamp's scheme version always equals the
     ///   engine's — a snapshot never observes a torn mix of schemes;
@@ -340,29 +287,22 @@ proptest! {
     /// * immediately after a flush the wait-free path agrees with the
     ///   barrier path *exactly*, and the stamp accounts for the whole
     ///   segment;
-    /// * interleaved snapshot reads perturb nothing: the ledger still
-    ///   balances and no admitted mass goes unaccounted.
+    /// * interleaved snapshot reads perturb nothing: no admitted mass goes
+    ///   unaccounted.
     #[test]
     fn snapshot_reads_stay_coherent_through_arbitrary_interleavings(
         ups in zipfish_updates(300),
         shards in 1usize..5,
         batch in 1usize..16,
-        policy_pick in 0usize..3,
         swap_gap in 9usize..50,
         flush_gap in 5usize..23,
     ) {
-        let policy = [
-            BackpressurePolicy::Block,
-            BackpressurePolicy::Reject,
-            BackpressurePolicy::DegradeAggregate,
-        ][policy_pick];
         let base = CountMinSketch::new(128, 4, 11);
         let mut engine = IngestEngine::new(
             base.clone(),
             EngineConfig::with_shards(shards)
                 .batch_capacity(batch)
-                .queue_capacity(2)
-                .backpressure(policy),
+                .queue_capacity(2),
         );
         let reader = engine.snapshot_reader();
         let probes: [u64; 5] = [0, 1, 7, 13, 101];
@@ -370,14 +310,11 @@ proptest! {
         let mut segment = base.clone();
         let mut segment_mass = 0u64;
         for (i, &(id, count)) in ups.iter().enumerate() {
-            match engine.ingest_weighted(&StreamElement::without_features(id), count) {
-                Ok(()) => {
-                    segment.ingest(&StreamElement::without_features(id), count);
-                    segment_mass += count;
-                }
-                Err(EngineError::Overloaded { .. }) => {}
-                Err(other) => return Err(format!("unexpected error: {other}")),
-            }
+            engine
+                .ingest_weighted(&StreamElement::without_features(id), count)
+                .map_err(|err| format!("unexpected error: {err}"))?;
+            segment.ingest(&StreamElement::without_features(id), count);
+            segment_mass += count;
             // A snapshot between any two operations: one coherent scheme,
             // bounded mass, bounded estimates.
             let answer = reader.query(&StreamElement::without_features(id));
@@ -421,9 +358,7 @@ proptest! {
             }
         }
         engine.flush().expect("final flush");
-        let stats = engine.stats();
-        prop_assert!(stats.conserved(), "ledger must balance under {policy:?}");
-        prop_assert_eq!(stats.unaccounted_mass(), 0);
+        prop_assert_eq!(engine.stats().unaccounted_mass(), 0);
         for &p in &probes {
             let probe = StreamElement::without_features(p);
             prop_assert_eq!(
@@ -469,7 +404,7 @@ proptest! {
 
 /// Conservation must also survive *panics injected mid-application*: a
 /// caught batch panic is retried from the last consistent scratch state, so
-/// the final answers and ledgers are exactly those of a clean run.
+/// the final answers and counts are exactly those of a clean run.
 #[cfg(feature = "failpoints")]
 mod under_injected_panics {
     use super::*;
@@ -478,45 +413,34 @@ mod under_injected_panics {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         #[test]
-        fn policies_conserve_mass_through_batch_panics(
+        fn mass_is_conserved_through_batch_panics(
             ups in zipfish_updates(300),
             shards in 1usize..4,
-            policy_pick in 0usize..3,
             panic_hit in 0u64..40,
         ) {
-            let policy = [
-                BackpressurePolicy::Block,
-                BackpressurePolicy::Reject,
-                BackpressurePolicy::DegradeAggregate,
-            ][policy_pick];
             let backend = CountMinSketch::new(128, 4, 11);
             let mut engine = IngestEngine::new(
                 backend.clone(),
                 EngineConfig::with_shards(shards)
                     .batch_capacity(8)
-                    .queue_capacity(2)
-                    .backpressure(policy),
+                    .queue_capacity(2),
             );
             // One one-shot panic somewhere along the apply path: the batch
             // must be retried, not lost, so the run stays exact.
             engine
                 .fault_injector()
                 .program("worker::apply", FaultPlan::panic().after(panic_hit).times(1));
-            let mut admitted = Vec::new();
             for &(id, count) in &ups {
-                match engine.ingest_weighted(&StreamElement::without_features(id), count) {
-                    Ok(()) => admitted.push((id, count)),
-                    Err(EngineError::Overloaded { .. }) => {}
-                    Err(other) => return Err(format!("unexpected error: {other}")),
-                }
+                engine
+                    .ingest_weighted(&StreamElement::without_features(id), count)
+                    .map_err(|err| format!("unexpected error: {err}"))?;
             }
             engine.flush().expect("panic-isolated flush");
             let stats = engine.stats();
-            prop_assert!(stats.conserved());
             prop_assert_eq!(stats.unaccounted_mass(), 0);
             prop_assert_eq!(stats.quarantined_mass, 0, "one panic never quarantines");
             let mut sequential = backend;
-            apply(&mut sequential, &admitted);
+            apply(&mut sequential, &ups);
             for id in 0..520u64 {
                 prop_assert_eq!(
                     engine.query_synced(&StreamElement::without_features(id)).unwrap(),

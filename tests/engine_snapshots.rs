@@ -52,7 +52,6 @@ fn stamps_are_monotone_and_fully_accounted_after_every_flush() {
             );
         }
         let stats = engine.stats();
-        assert!(stats.conserved(), "ledger must balance");
         assert_eq!(stats.unaccounted_mass(), 0, "mass unaccounted");
         previous = stamp;
     }
@@ -235,7 +234,6 @@ mod failpoints {
         // Every admitted unit is locatable even mid-stall: the batch's mass
         // sits in the queued-mass ledger, not in limbo.
         let stats = engine.stats();
-        assert!(stats.conserved());
         assert_eq!(stats.unaccounted_mass(), 0);
         assert_eq!(stats.queued_mass, 8, "the stalled batch mass is queued");
 
