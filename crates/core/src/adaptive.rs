@@ -128,11 +128,10 @@ impl AdaptiveOptHash {
     /// Exactness note: merging forks back via
     /// [`AdaptiveOptHash::merge_counts`] reproduces sequential processing
     /// when the stream is partitioned *by element ID* (each distinct ID
-    /// confined to one fork — precisely the sharding discipline of the
-    /// ingest engine), up to Bloom false positives: a fork cannot see bits
-    /// set concurrently by its siblings, so an element that would have been
-    /// a false positive sequentially may be counted as new in its shard (or
-    /// vice versa). The probability is bounded by the filter's
+    /// confined to one fork), up to Bloom false positives: a fork cannot
+    /// see bits set concurrently by its siblings, so an element that would
+    /// have been a false positive sequentially may be counted as new in its
+    /// shard (or vice versa). The probability is bounded by the filter's
     /// false-positive rate; size the filter accordingly.
     pub fn fork_empty(&self) -> Self {
         AdaptiveOptHash {

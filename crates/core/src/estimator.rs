@@ -9,6 +9,7 @@ use opthash_stream::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The learned-hashing frequency estimator.
@@ -16,13 +17,24 @@ use std::time::Instant;
 /// Build one with [`crate::OptHashBuilder`] or [`OptHash::train`]; feed
 /// arrivals with [`FrequencyEstimator::update`]; answer point queries with
 /// [`FrequencyEstimator::estimate`].
+///
+/// Only the `b` bucket counters `φ_j` change after training. The learned
+/// part (hash table, classifier, solved assignment) sits behind one `Arc`,
+/// so a clone or a fork copies just the counters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OptHash {
+    /// The read-only learned scheme, shared by every clone and fork.
+    scheme: Arc<Scheme>,
+    /// Aggregate frequency `φ_j` per bucket.
+    bucket_counts: Vec<f64>,
+}
+
+/// The part of an [`OptHash`] fixed at training time.
+#[derive(Debug)]
+struct Scheme {
     config: OptHashConfig,
     /// Learned hash table: bucket of every stored prefix element.
     table: HashMap<ElementId, usize>,
-    /// Aggregate frequency `φ_j` per bucket.
-    bucket_counts: Vec<f64>,
     /// Number of stored elements `c_j` per bucket.
     bucket_elements: Vec<usize>,
     /// Classifier routing unseen elements to buckets.
@@ -53,7 +65,7 @@ impl OptHash {
     /// retrained on the refreshed assignment, so routing of unseen elements
     /// tracks the new scheme too.
     pub fn retrain(&self, prefix: &StreamPrefix) -> Self {
-        Self::build(self.config, prefix, Some(self))
+        Self::build(self.scheme.config, prefix, Some(self))
     }
 
     /// Maps this estimator's incumbent assignment onto a (possibly new)
@@ -61,12 +73,12 @@ impl OptHash {
     /// get the bucket whose current average frequency is closest to their
     /// observed prefix frequency.
     fn warm_assignment(&self, prefix: &StreamPrefix) -> Vec<usize> {
-        let buckets = self.config.buckets;
+        let buckets = self.scheme.config.buckets;
         prefix
             .elements()
             .iter()
             .enumerate()
-            .map(|(i, element)| match self.table.get(&element.id) {
+            .map(|(i, element)| match self.scheme.table.get(&element.id) {
                 Some(&bucket) => bucket.min(buckets - 1),
                 None => {
                     let frequency = prefix.frequencies()[i] as f64;
@@ -170,45 +182,47 @@ impl OptHash {
         };
 
         OptHash {
-            config,
-            table,
+            scheme: Arc::new(Scheme {
+                config,
+                table,
+                bucket_elements,
+                classifier,
+                solution,
+                stats,
+            }),
             bucket_counts,
-            bucket_elements,
-            classifier,
-            solution,
-            stats,
         }
     }
 
     /// The configuration the estimator was trained with.
     pub fn config(&self) -> &OptHashConfig {
-        &self.config
+        &self.scheme.config
     }
 
     /// Training statistics.
     pub fn stats(&self) -> &EstimatorStats {
-        &self.stats
+        &self.scheme.stats
     }
 
     /// The solved prefix assignment.
     pub fn solution(&self) -> &HashingSolution {
-        &self.solution
+        &self.scheme.solution
     }
 
     /// Number of stored prefix-element IDs.
     pub fn stored_elements(&self) -> usize {
-        self.table.len()
+        self.scheme.table.len()
     }
 
     /// Number of buckets.
     pub fn buckets(&self) -> usize {
-        self.config.buckets
+        self.scheme.config.buckets
     }
 
     /// The bucket an element would be routed to: the learned hash table for
     /// prefix elements, the classifier for everything else (Section 5).
     pub fn bucket_of(&self, element: &StreamElement) -> usize {
-        match self.table.get(&element.id) {
+        match self.scheme.table.get(&element.id) {
             Some(&bucket) => bucket,
             None => self.predict_bucket(&element.features),
         }
@@ -216,19 +230,19 @@ impl OptHash {
 
     /// The bucket the classifier alone would pick for a feature vector.
     pub fn predict_bucket(&self, features: &Features) -> usize {
-        let bucket = self.classifier.predict(features.as_slice());
-        bucket.min(self.config.buckets - 1)
+        let bucket = self.scheme.classifier.predict(features.as_slice());
+        bucket.min(self.scheme.config.buckets - 1)
     }
 
     /// Returns `true` if the element's ID was stored from the prefix.
     pub fn is_stored(&self, id: ElementId) -> bool {
-        self.table.contains_key(&id)
+        self.scheme.table.contains_key(&id)
     }
 
     /// Current average frequency of a bucket (`φ_j / c_j`), the value every
     /// query in that bucket receives.
     pub fn bucket_average(&self, bucket: usize) -> f64 {
-        let elements = self.bucket_elements[bucket];
+        let elements = self.scheme.bucket_elements[bucket];
         if elements == 0 {
             0.0
         } else {
@@ -243,7 +257,7 @@ impl OptHash {
 
     /// Number of stored elements `c_j` of a bucket.
     pub fn bucket_element_count(&self, bucket: usize) -> usize {
-        self.bucket_elements[bucket]
+        self.scheme.bucket_elements[bucket]
     }
 
     /// Adds `count` occurrences of an element (only tracked if the element
@@ -253,7 +267,7 @@ impl OptHash {
         if count == 0 {
             return;
         }
-        if let Some(&bucket) = self.table.get(&element.id) {
+        if let Some(&bucket) = self.scheme.table.get(&element.id) {
             self.bucket_counts[bucket] += count as f64;
         }
     }
@@ -263,17 +277,12 @@ impl OptHash {
     /// bucket counter `φ_j` zeroed. The fork accumulates only the *delta*
     /// of the arrivals routed to it, so several forks fed disjoint
     /// sub-streams can be [`OptHash::merge_counts`]-ed back into the
-    /// original for an exact result. `O(buckets + stored elements)` (the
-    /// table and classifier are cloned, not retrained).
+    /// original for an exact result. `O(buckets)`: the fork shares the
+    /// learned scheme rather than copying it.
     pub fn fork_empty(&self) -> Self {
         OptHash {
-            config: self.config,
-            table: self.table.clone(),
+            scheme: Arc::clone(&self.scheme),
             bucket_counts: vec![0.0; self.bucket_counts.len()],
-            bucket_elements: self.bucket_elements.clone(),
-            classifier: self.classifier.clone(),
-            solution: self.solution.clone(),
-            stats: self.stats.clone(),
         }
     }
 
@@ -289,7 +298,7 @@ impl OptHash {
     pub fn merge_counts(&mut self, other: &OptHash) {
         assert!(
             self.bucket_counts.len() == other.bucket_counts.len()
-                && self.table.len() == other.table.len(),
+                && self.scheme.table.len() == other.scheme.table.len(),
             "can only merge opt-hash estimators from the same training run"
         );
         for (c, &o) in self.bucket_counts.iter_mut().zip(&other.bucket_counts) {
@@ -303,8 +312,8 @@ impl OptHash {
     /// table is dropped — which the static estimator never does).
     pub fn space_report(&self) -> SpaceReport {
         SpaceReport {
-            counters: self.config.buckets,
-            stored_ids: self.table.len(),
+            counters: self.scheme.config.buckets,
+            stored_ids: self.scheme.table.len(),
             ..SpaceReport::default()
         }
     }
@@ -627,5 +636,32 @@ mod tests {
         est.add(&StreamElement::new(0u64, vec![0.0, 0.1]), 0);
         let after = est.bucket_count(est.bucket_of(&StreamElement::new(0u64, vec![0.0, 0.1])));
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn copies_share_one_scheme_and_own_their_counters() {
+        let est = OptHashBuilder::new(2)
+            .lambda(1.0)
+            .solver(SolverKind::Dp)
+            .train(&grouped_prefix());
+        assert!(Arc::ptr_eq(&est.scheme, &est.clone().scheme));
+        assert!(Arc::ptr_eq(&est.scheme, &est.fork_empty().scheme));
+        assert!(
+            !Arc::ptr_eq(&est.scheme, &est.retrain(&drifted_prefix()).scheme),
+            "a retrain learns a new scheme"
+        );
+
+        let counts = |e: &OptHash| {
+            (0..e.buckets())
+                .map(|j| e.bucket_count(j))
+                .collect::<Vec<_>>()
+        };
+        let before = counts(&est);
+        let hot = StreamElement::new(0u64, vec![0.0, 0.1]);
+        let mut copy = est.clone();
+        copy.add(&hot, 7);
+        assert_eq!(counts(&est), before, "the original's counters are its own");
+        let bucket = est.bucket_of(&hot);
+        assert_eq!(copy.bucket_count(bucket), est.bucket_count(bucket) + 7.0);
     }
 }

@@ -1,9 +1,9 @@
-//! The [`SketchBackend`] trait: one interface over every frequency
-//! estimator in the workspace, designed around *weighted*, *mergeable*
-//! updates so the sharded ingest engine can drive any of them.
+//! The [`SketchBackend`] trait: one interface over the workspace's linear
+//! frequency estimators, designed around *weighted*, *mergeable* updates so
+//! the sharded ingest engine can drive any of them.
 
-use opthash::{AdaptiveOptHash, OptHash};
-use opthash_sketch::{CountMinSketch, CountSketch, LearnedCountMin, MisraGries};
+use opthash::OptHash;
+use opthash_sketch::{CountMinSketch, CountSketch, LearnedCountMin};
 use opthash_stream::{FrequencyEstimator, StreamElement};
 
 /// A frequency estimator that the [`crate::IngestEngine`] can shard.
@@ -28,33 +28,22 @@ use opthash_stream::{FrequencyEstimator, StreamElement};
 /// through one representative element (the first seen), so a stream that
 /// presents *different* features (or a mix of featured and featureless
 /// arrivals) for the same ID may be routed differently than sequential
-/// per-arrival processing would route it. Only the feature-consuming
-/// backends ([`OptHash`]/[`AdaptiveOptHash`] classifier routing of
-/// unstored elements) can observe the difference.
+/// per-arrival processing would route it. Only [`OptHash`], whose
+/// classifier routes unstored elements, can observe the difference.
 ///
 /// For the linear backends ([`CountMinSketch`] with the standard update
-/// policy, [`CountSketch`], [`LearnedCountMin`], [`OptHash`]) fork + ingest +
-/// merge over *any* partition of a stream reproduces the sequentially built
-/// estimator exactly. [`AdaptiveOptHash`] is exact when the partition is
-/// *by element ID* (each distinct ID confined to one fork) — exactly the
-/// discipline the engine's hash partitioner enforces — up to Bloom
-/// false positives, which a shard may resolve differently from a
-/// sequential run because it cannot see bits set concurrently by sibling
-/// shards; the divergence probability is bounded by the filter's
-/// false-positive rate. [`MisraGries`] and the conservative-update
-/// Count-Min are order-dependent: merged results may differ from
-/// sequential ones but keep their deterministic error bounds.
+/// policy, [`CountSketch`], [`LearnedCountMin`], [`OptHash`]), fork +
+/// ingest + merge over any partition of a stream is bit-identical to the
+/// sequentially built estimator. A conservative-update Count-Min is
+/// order-dependent: its merged results may differ from sequential ones.
 ///
 /// # Why `Clone`?
 ///
-/// The worker engine's crash-recovery protocol checkpoints each shard by
-/// *cloning* its accumulated delta (snapshot = scratch state at the last
-/// consistent point; recovery = clone the snapshot and replay the journal).
-/// Cloning, unlike a fresh [`SketchBackend::fork`], preserves whole-stream
-/// shard state — which [`AdaptiveOptHash`]'s promotion/Bloom machinery
-/// needs for the exactness statement above to survive a restart. Every
-/// estimator in the workspace is a plain bundle of counters and learned
-/// structure, so `Clone` is derivable and costs `O(state size)`.
+/// A shard worker applies each batch to a *clone* of the shard's committed
+/// snapshot and commits the clone as the new snapshot, so a panic
+/// mid-batch never touches committed state. A clone costs `O(state size)`;
+/// [`OptHash`] shares its learned scheme between clones, so its clones copy
+/// only the bucket counters.
 ///
 /// `Sync` is required because a scheme hot-swap
 /// ([`crate::IngestEngine::swap_backend`]) shares one immutable new base
@@ -64,8 +53,7 @@ pub trait SketchBackend: Send + Sync + Clone {
     /// Applies `count` occurrences of `element`.
     ///
     /// Complexity: `O(depth)` hash-and-increment for the sketches, `O(1)`
-    /// expected for the hash-table based estimators, amortized
-    /// `O(capacity)` worst case for [`MisraGries`] evictions.
+    /// expected for [`OptHash`].
     fn ingest(&mut self, element: &StreamElement, count: u64);
 
     /// Applies a pre-aggregated batch of weighted updates — the unit the
@@ -84,7 +72,7 @@ pub trait SketchBackend: Send + Sync + Clone {
     /// Returns the estimated frequency of `element`.
     ///
     /// Complexity: `O(depth)` for the sketches, `O(1)` expected for stored
-    /// elements of the learned estimators plus one classifier evaluation
+    /// elements of [`OptHash`] plus one classifier evaluation
     /// (`O(tree depth)` or `O(classes · features)`) for unseen elements.
     fn query(&self, element: &StreamElement) -> f64;
 
@@ -92,9 +80,8 @@ pub trait SketchBackend: Send + Sync + Clone {
     /// and learned structure, zero counts.
     ///
     /// Space: a fork costs the same counter memory as its parent (counters
-    /// are replicated per shard), except [`MisraGries`] whose fork starts
-    /// empty. Learned structures (hash table, classifier) are cloned, not
-    /// retrained.
+    /// are replicated per shard). [`OptHash`]'s fork shares the learned
+    /// hash table and classifier rather than copying or retraining them.
     fn fork(&self) -> Self
     where
         Self: Sized;
@@ -102,8 +89,8 @@ pub trait SketchBackend: Send + Sync + Clone {
     /// Folds a fork's accumulated delta into this estimator.
     ///
     /// Complexity: `O(state size)` — counters are combined element-wise;
-    /// no per-update work is replayed. Merging is commutative and (for the
-    /// linear backends) associative, so shards can be folded in any order.
+    /// no per-update work is replayed. Merging is commutative and
+    /// associative, so shards can be folded in any order.
     fn merge(&mut self, shard: &Self)
     where
         Self: Sized;
@@ -168,43 +155,7 @@ impl SketchBackend for LearnedCountMin {
     }
 }
 
-impl SketchBackend for MisraGries {
-    fn ingest(&mut self, element: &StreamElement, count: u64) {
-        self.add(element.id, count);
-    }
-
-    fn query(&self, element: &StreamElement) -> f64 {
-        MisraGries::query(self, element.id) as f64
-    }
-
-    fn fork(&self) -> Self {
-        self.clone_empty()
-    }
-
-    fn merge(&mut self, shard: &Self) {
-        MisraGries::merge(self, shard);
-    }
-}
-
 impl SketchBackend for OptHash {
-    fn ingest(&mut self, element: &StreamElement, count: u64) {
-        self.add(element, count);
-    }
-
-    fn query(&self, element: &StreamElement) -> f64 {
-        FrequencyEstimator::estimate(self, element)
-    }
-
-    fn fork(&self) -> Self {
-        self.fork_empty()
-    }
-
-    fn merge(&mut self, shard: &Self) {
-        self.merge_counts(shard);
-    }
-}
-
-impl SketchBackend for AdaptiveOptHash {
     fn ingest(&mut self, element: &StreamElement, count: u64) {
         self.add(element, count);
     }

@@ -3,13 +3,12 @@
 use crate::backend::SketchBackend;
 use crate::error::EngineError;
 use crate::fault::{self, FaultEvent, FaultInjector, FaultLog, SharedFaultLog};
-use crate::queue::{BatchData, QueuedBatch, ShardChannel, ShardCounters};
+use crate::queue::{BatchData, ShardChannel, ShardCounters};
 use crate::snapshot::{
     BaseSlot, EpochStamp, PublishedSlot, SnapshotEstimate, SnapshotHub, SnapshotReader,
 };
-use crate::worker::{apply_batch, spawn_worker, ShardHandle, WorkerConfig};
+use crate::worker::{spawn_worker, ShardHandle};
 use opthash_stream::{Stream, StreamElement};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -49,10 +48,6 @@ pub struct EngineConfig {
     /// Bounded depth of each shard's worker queue, in batches. A producer
     /// that dispatches to a full queue blocks until the worker drains it.
     pub queue_capacity: usize,
-    /// Committed batches between worker checkpoints. Smaller values bound
-    /// recovery replay tighter; larger values amortize the O(state)
-    /// snapshot clone over more batches.
-    pub checkpoint_interval: u32,
 }
 
 impl Default for EngineConfig {
@@ -61,7 +56,6 @@ impl Default for EngineConfig {
             shards: 4,
             batch_capacity: 8_192,
             queue_capacity: 8,
-            checkpoint_interval: 8,
         }
     }
 }
@@ -84,12 +78,6 @@ impl EngineConfig {
     /// Sets the per-shard worker queue depth, in batches.
     pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Sets the worker checkpoint interval, in committed batches.
-    pub fn checkpoint_interval(mut self, batches: u32) -> Self {
-        self.checkpoint_interval = batches.max(1);
         self
     }
 }
@@ -326,7 +314,7 @@ impl BatchBuffer {
 ///   of the stream it observed. [`IngestEngine::snapshot_reader`] hands
 ///   the same capability to other threads.
 /// * [`IngestEngine::query_synced`] is **barrier-synced**: it flushes,
-///   waits for every worker to checkpoint, and merges the shard snapshots
+///   waits for every shard to drain, and merges the shard snapshots
 ///   (cached until the next ingest), so the answer covers every admitted
 ///   arrival.
 ///
@@ -337,8 +325,8 @@ impl BatchBuffer {
 /// The engine treats failure as a first-class input (see the crate-level
 /// docs for the full model): batch application is panic-isolated,
 /// poison-pill batches are quarantined after a bounded number of attempts,
-/// dead workers are re-forked from their shard's last checkpoint with the
-/// surviving queue replayed, and every such event is recorded in the
+/// dead workers are re-forked and resume from their shard's committed
+/// snapshot and surviving queue, and every such event is recorded in the
 /// [`FaultLog`]. The fallible operations return
 /// [`EngineError`] instead of panicking, and
 /// [`EngineStats::unaccounted_mass`] proves no admitted arrival is ever
@@ -346,28 +334,28 @@ impl BatchBuffer {
 ///
 /// # Exactness
 ///
-/// Because the partition is *by ID*, every distinct element lives in
-/// exactly one shard, which makes sharding exact for all linear backends
-/// **and** for [`opthash::AdaptiveOptHash`]. Exactness assumes each ID's
-/// features are identical across appearances, as [`StreamElement`]
-/// specifies: within a batch window duplicate arrivals are applied through
-/// the ID's first-seen element (see [`SketchBackend`] for the full
-/// contract).
+/// For the linear backends the engine is bit-identical to feeding the
+/// backend sequentially. Exactness assumes each ID's features are
+/// identical across appearances, as [`StreamElement`] specifies: within a
+/// batch window duplicate arrivals are applied through the ID's first-seen
+/// element (see [`SketchBackend`] for the full contract).
 ///
 /// # Memory
 ///
-/// The engine keeps `2 × shards + 3` copies of the backend's state:
+/// The engine keeps up to `2 × shards + 3` copies of the backend's state:
 ///
 /// * the engine's base backend;
 /// * the snapshot hub's copy of that base, which readers merge onto;
-/// * per shard, the last checkpoint snapshot (the published query snapshot
-///   shares its allocation) and the worker's scratch copy;
+/// * per shard, the committed snapshot (the published query snapshot
+///   shares its allocation), plus the worker's working copy while it
+///   applies a batch;
 /// * one merged view: the barrier path's cached merge, or before the first
 ///   synced query the empty fork every shard starts from.
 ///
-/// On top of that come each shard's batch buffer and up to
-/// `queue_capacity + checkpoint_interval` batches per shard in flight,
-/// trading memory for ingest throughput and crash recoverability. Each
+/// Every copy of an [`opthash::OptHash`] shares one hash table and
+/// classifier, so for it a copy is just its bucket counters. On top of
+/// that come each shard's batch buffer and up to `queue_capacity` batches
+/// per shard in flight, trading memory for ingest throughput. Each
 /// [`SnapshotReader`] that has answered a query (the engine's own, once
 /// [`IngestEngine::query`] is used) caches one more merged view, and after a
 /// hot-swap every shard's slot retains its retired delta until the next
@@ -379,7 +367,6 @@ pub struct IngestEngine<B: SketchBackend> {
     merged: Option<B>,
     hub: Arc<SnapshotHub<B>>,
     reader: SnapshotReader<B>,
-    checkpoint_interval: u32,
     elements: u64,
     mass: u64,
     zero_weight_rejections: u64,
@@ -439,10 +426,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                     Arc::clone(&cell),
                     Arc::clone(&fault_log),
                     faults.clone(),
-                    WorkerConfig {
-                        shard,
-                        checkpoint_interval: config.checkpoint_interval,
-                    },
+                    shard,
                     0,
                 );
                 ShardHandle {
@@ -460,7 +444,6 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             merged: None,
             hub,
             reader,
-            checkpoint_interval: config.checkpoint_interval,
             elements: 0,
             mass: 0,
             zero_weight_rejections: 0,
@@ -701,17 +684,19 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
 
     /// Detects dead shard workers and re-forks replacements.
     ///
-    /// A replacement rebuilds the shard's state from its last checkpoint
-    /// plus the recovery journal, requeues any batch that was inflight when
-    /// the worker died, and replays the surviving queue — so a worker death
-    /// loses nothing. The engine supervises automatically whenever it waits
-    /// on a shard (dispatch to a full queue, flush barriers); calling
+    /// The supervisor requeues any batch that was inflight when the worker
+    /// died, and the replacement starts from the shard's committed snapshot
+    /// and drains the surviving queue — so a worker death loses nothing.
+    /// The engine supervises automatically whenever it waits on a shard
+    /// (dispatch to a full queue, flush barriers, swaps, `finish`); calling
     /// this directly is only needed to reap a death while the engine is
     /// otherwise idle.
     pub fn supervise(&mut self) {
         for (shard, handle) in self.handles.iter_mut().enumerate() {
+            // A finished thread with work left behind died; one whose closed
+            // channel is drained exited.
             let died = handle.thread.as_ref().is_some_and(JoinHandle::is_finished)
-                && !handle.cell.is_closed();
+                && !handle.cell.closed_and_drained();
             if !died {
                 continue;
             }
@@ -727,27 +712,8 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             }
             // The death may have struck mid-batch: disposition the inflight
             // batch exactly like a caught batch panic (retry, then
-            // quarantine), since the replacement's rebuilt state excludes
-            // it.
-            match handle.cell.fail_inflight() {
-                crate::queue::FailDisposition::Requeued { attempt, mass } => fault::record(
-                    &self.fault_log,
-                    FaultEvent::BatchPanicked {
-                        shard,
-                        attempt,
-                        mass,
-                    },
-                ),
-                crate::queue::FailDisposition::Quarantined { mass, updates } => fault::record(
-                    &self.fault_log,
-                    FaultEvent::BatchQuarantined {
-                        shard,
-                        mass,
-                        updates,
-                    },
-                ),
-                crate::queue::FailDisposition::Idle => {}
-            }
+            // quarantine), since the committed snapshot excludes it.
+            handle.cell.fail_inflight(&self.fault_log, shard);
             handle.generation += 1;
             handle.cell.lock_always().counters.worker_restarts += 1;
             fault::record(
@@ -761,22 +727,20 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                 Arc::clone(&handle.cell),
                 Arc::clone(&self.fault_log),
                 self.faults.clone(),
-                WorkerConfig {
-                    shard,
-                    checkpoint_interval: self.checkpoint_interval,
-                },
+                shard,
                 handle.generation,
             ));
         }
     }
 
-    /// Dispatches every buffered batch and synchronizes every shard to a
-    /// consistent checkpoint covering all admitted arrivals.
+    /// Dispatches every buffered batch and waits until every shard's
+    /// committed snapshot covers all admitted arrivals.
     ///
     /// Pending batches are dispatched like any other, and the barrier waits
-    /// for every worker to drain its queue and publish a checkpoint
-    /// (supervising — and if necessary restarting — workers while it
-    /// waits). Called automatically before a query/merge.
+    /// for every shard to drain (supervising — and if necessary restarting
+    /// — workers while it waits). Every commit is published, so a returned
+    /// flush is visible to wait-free reads. Called automatically before a
+    /// synced query.
     ///
     /// # Errors
     ///
@@ -790,7 +754,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         self.flushes += 1;
         // A poisoned shard must not stop the others from flushing: record
         // the first error but keep dispatching and keep the barrier, so
-        // every healthy shard still reaches a consistent checkpoint.
+        // every healthy shard still drains.
         let mut first_err = self.dispatch_all().err();
         if let Err(err) = self.barrier() {
             first_err.get_or_insert(err);
@@ -817,26 +781,27 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// Flush barrier: waits for every shard to drain and checkpoint,
-    /// supervising while it waits.
+    /// Flush barrier: waits for every shard to drain.
     fn barrier(&mut self) -> Result<(), EngineError> {
-        let requests: Vec<(usize, Arc<ShardChannel<B>>, u64)> = self
-            .handles
-            .iter()
-            .enumerate()
-            .map(|(shard, handle)| {
-                let cell = Arc::clone(&handle.cell);
-                let epoch = cell.request_sync();
-                (shard, cell, epoch)
-            })
-            .collect();
+        self.wait_all(|cell| cell.wait_drained(SUPERVISE_TICK))
+    }
+
+    /// Waits shard by shard until `wait` — one timed wait on a shard,
+    /// returning `(done, poisoned)` — reports the shard done, supervising
+    /// between waits so a dead worker is re-forked to finish the work.
+    /// Keeps going past a poisoned shard and returns the first error.
+    fn wait_all(
+        &mut self,
+        wait: impl Fn(&ShardChannel<B>) -> (bool, bool),
+    ) -> Result<(), EngineError> {
         let mut first_err = None;
-        for (shard, cell, epoch) in requests {
+        for shard in 0..self.handles.len() {
+            let cell = Arc::clone(&self.handles[shard].cell);
             loop {
-                let (done, poisoned) = cell.wait_sync(epoch, SUPERVISE_TICK);
+                let (done, poisoned) = wait(&cell);
                 if poisoned {
                     // Reap the dead worker and log the poisoning, then move
-                    // on: the remaining shards still get synchronized.
+                    // on: the remaining shards are still waited for.
                     self.supervise();
                     first_err.get_or_insert(EngineError::ShardPoisoned { shard });
                     break;
@@ -847,10 +812,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                 self.supervise();
             }
         }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// How many scheme hot-swaps ([`IngestEngine::swap_backend`]) this
@@ -865,15 +827,14 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// scheme — the online re-training hot-swap.
     ///
     /// No thread is stalled, stopped, or restarted: pending buffers are
-    /// dispatched, then
-    /// each shard is handed a swap request that its worker picks up as the
-    /// next queue event after draining its batches. The worker retires its
-    /// scratch delta — migrated out through the same
-    /// [`SketchBackend::fork`]/[`SketchBackend::merge`] machinery checkpoints
-    /// use — and re-forks from the new base; the retired per-shard deltas
-    /// are merged into the old base, which is returned. A worker that dies
-    /// mid-swap is re-forked by the supervisor and redoes the still-pending
-    /// request, so the swap completes exactly once per shard.
+    /// dispatched, then each shard is handed a swap request that its worker
+    /// picks up as the next queue event after draining its batches. The
+    /// worker retires the shard's committed snapshot and commits a fresh
+    /// [`SketchBackend::fork`] of the new base in its place; the retired
+    /// per-shard deltas are [`SketchBackend::merge`]d into the old base,
+    /// which is returned. A worker that dies mid-swap is re-forked by the
+    /// supervisor and redoes the still-pending request, so the swap
+    /// completes exactly once per shard.
     ///
     /// The admitted counts are untouched: admitted mass was either
     /// applied (it leaves inside the returned backend), quarantined, or
@@ -893,32 +854,16 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         // dies mid-swap is re-forked to redo it.
         let fresh = new_base.clone();
         let shared = Arc::new(new_base);
-        let cells: Vec<Arc<ShardChannel<B>>> = self
-            .handles
-            .iter()
-            .map(|handle| Arc::clone(&handle.cell))
-            .collect();
         let version = self.scheme_version + 1;
-        for cell in &cells {
-            cell.request_swap(version, Arc::clone(&shared));
+        for handle in &self.handles {
+            handle.cell.request_swap(version, Arc::clone(&shared));
         }
-        for (shard, cell) in cells.iter().enumerate() {
-            loop {
-                let (done, poisoned) = cell.wait_swap(SUPERVISE_TICK);
-                if poisoned {
-                    self.supervise();
-                    first_err.get_or_insert(EngineError::ShardPoisoned { shard });
-                    break;
-                }
-                if done {
-                    break;
-                }
-                self.supervise();
-            }
+        if let Err(err) = self.wait_all(|cell| cell.wait_swap(SUPERVISE_TICK)) {
+            first_err.get_or_insert(err);
         }
         let mut retired = std::mem::replace(&mut self.base, fresh);
-        for cell in &cells {
-            if let Some(delta) = cell.take_retired() {
+        for handle in &self.handles {
+            if let Some(delta) = handle.cell.take_retired() {
                 retired.merge(&delta);
             }
         }
@@ -961,10 +906,10 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// Estimates the frequency of `element` **without waiting on
     /// ingestion**: the answer comes from the latest epoch-stamped snapshot
     /// set the shard workers have published, never from behind the flush
-    /// barrier. Mass still buffered, queued, or applied-but-not-yet-
-    /// checkpointed is not visible; the returned [`EpochStamp`] says
-    /// exactly which prefix was (see [`crate::snapshot`] for the full
-    /// contract, including why a stamp never mixes scheme versions).
+    /// barrier. Mass still buffered, queued, or inflight is not visible;
+    /// the returned [`EpochStamp`] says exactly which prefix was (see
+    /// [`crate::snapshot`] for the full contract, including why a stamp
+    /// never mixes scheme versions).
     ///
     /// Infallible by design: even a poisoned shard leaves its last
     /// consistent publication in place, so a wait-free read always has
@@ -977,8 +922,8 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
 
     /// Returns the estimated frequency of `element`, flushing and merging
     /// first so the answer reflects every admitted arrival. This is the
-    /// barrier-synced read path: it waits for every shard worker to drain
-    /// and checkpoint, trading latency for completeness — the wait-free
+    /// barrier-synced read path: it waits for every shard to drain,
+    /// trading latency for completeness — the wait-free
     /// counterpart is [`IngestEngine::query`]. The merged view is cached
     /// until the next ingest, so repeated queries cost one backend lookup.
     ///
@@ -1009,85 +954,24 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// Flushes, merges every shard into the base and returns the final
     /// estimator, consuming the engine (worker threads are joined).
     ///
-    /// This skips the flush barrier entirely: closing a channel makes its
-    /// worker drain the remaining queue and publish its scratch state by
-    /// move (no checkpoint clone), so the join itself is the
-    /// synchronization.
+    /// Every buffer is dispatched and every channel closed first, so all
+    /// workers drain their final batches concurrently. The engine then
+    /// waits for each shard to drain, supervising while it waits, so a
+    /// worker that died — even one never reaped before — is re-forked and
+    /// drains its own queue.
     ///
     /// # Errors
     ///
     /// [`EngineError::ShardPoisoned`] if a shard's state is unrecoverable.
     pub fn finish(mut self) -> Result<B, EngineError> {
-        // Dispatch whatever is still buffered, then close and join.
         self.dispatch_all()?;
-        // Close every channel before joining any thread, so all workers
-        // drain their final batches concurrently instead of serializing
-        // behind shard 0's join.
         for handle in &self.handles {
             handle.cell.close();
         }
+        self.barrier()?;
         for handle in &mut self.handles {
             handle.shutdown();
-        }
-        for (shard, handle) in self.handles.iter().enumerate() {
-            let mut inner = handle.cell.lock_always();
-            if inner.poisoned {
-                return Err(EngineError::ShardPoisoned { shard });
-            }
-            // A worker that died (rather than exiting cleanly) leaves
-            // unpublished work behind. Catch up here: replay the journal
-            // onto the snapshot, then apply whatever the worker never got
-            // to — each leftover batch on a trial clone, so one that still
-            // panics is quarantined without corrupting the rebuilt state.
-            // Draining the ring is sound: the worker thread was joined
-            // above, so the consumer role has passed to this thread.
-            if !inner.journal.is_empty()
-                || inner.inflight.is_some()
-                || !inner.retry.is_empty()
-                || handle.cell.has_undrained()
-            {
-                let mut state = (*inner.snapshot).clone();
-                for batch in inner.journal.drain(..) {
-                    apply_batch(&mut state, &batch);
-                }
-                let mut leftovers: Vec<QueuedBatch> = inner
-                    .inflight
-                    .take()
-                    .into_iter()
-                    .chain(inner.retry.drain(..))
-                    .collect();
-                while let Some(data) = handle.cell.pop_after_join() {
-                    leftovers.push(QueuedBatch { data, attempts: 0 });
-                }
-                for batch in leftovers {
-                    let mut trial = state.clone();
-                    let applied = catch_unwind(AssertUnwindSafe(|| {
-                        apply_batch(&mut trial, &batch.data);
-                    }));
-                    handle.cell.debit_queued_mass(batch.data.mass);
-                    match applied {
-                        Ok(()) => {
-                            state = trial;
-                            inner.counters.applied_updates += batch.data.updates.len() as u64;
-                            inner.counters.applied_mass += batch.data.mass;
-                        }
-                        Err(_) => {
-                            inner.counters.batch_failures += 1;
-                            fault::record(
-                                &self.fault_log,
-                                FaultEvent::BatchQuarantined {
-                                    shard,
-                                    mass: batch.data.mass,
-                                    updates: batch.data.updates.len(),
-                                },
-                            );
-                            inner.quarantine(batch.data);
-                        }
-                    }
-                }
-                inner.snapshot = Arc::new(state);
-            }
-            self.base.merge(inner.snapshot.as_ref());
+            self.base.merge(handle.cell.lock_always().snapshot.as_ref());
         }
         Ok(self.base)
     }

@@ -25,7 +25,7 @@ pub enum EngineError {
     },
     /// The shard's state is corrupt beyond what the supervisor can recover
     /// (a panic struck while the shard's snapshot was being replaced, so
-    /// the last consistent checkpoint may be half-written). Queries and
+    /// the committed snapshot may be half-written). Queries and
     /// flushes fail with this error instead of returning wrong counts. An
     /// ingest call fails with it when the shard's full queue cannot take a
     /// batch; that batch is quarantined, so its mass stays accounted.

@@ -16,23 +16,24 @@
 //! | `worker::poll`          | top of the worker loop, outside batch apply  |
 //! | `worker::batch`         | once per batch, before its first update      |
 //! | `worker::apply`         | before every single update of a batch        |
-//! | `worker::before_commit` | after a batch applied, before it is recorded |
-//! | `worker::checkpoint`    | inside the snapshot-swap critical section    |
-//! | `worker::publish`       | before a checkpoint's or swap's slot publish |
+//! | `worker::before_commit` | after a batch applied, before its commit     |
+//! | `worker::checkpoint`    | inside a batch commit's critical section     |
+//! | `worker::publish`       | before a commit's or swap's slot publish     |
 //! | `worker::swap`          | on a hot-swap request, before any mutation   |
 //!
-//! A panic at `worker::poll` or `worker::before_commit` kills the worker
-//! thread (exercising supervisor restart + queue replay); a panic at
-//! `worker::apply`/`worker::batch` is caught and exercises batch retry and
-//! quarantine; a panic at `worker::checkpoint` poisons the shard
-//! (exercising the typed [`crate::EngineError::ShardPoisoned`] query path);
-//! a delay at `worker::batch` throttles a shard's drain rate (exercising
-//! a producer blocked on a full queue); a panic at `worker::swap` kills the
-//! worker *during a scheme hot-swap* with the swap request still pending —
-//! the supervisor's replacement worker rebuilds the pre-swap scratch and
+//! A panic at `worker::poll`, `worker::batch` or `worker::before_commit`
+//! kills the worker thread (exercising supervisor restart: the inflight
+//! batch is requeued and the replacement drains the queue); a panic at
+//! `worker::apply` is caught and exercises batch retry and quarantine; a
+//! panic at `worker::checkpoint` poisons the shard (exercising the typed
+//! [`crate::EngineError::ShardPoisoned`] query path); a delay at
+//! `worker::batch` throttles a shard's drain rate (exercising a producer
+//! blocked on a full queue); a panic at `worker::swap` kills the worker
+//! *during a scheme hot-swap* with the swap request still pending — the
+//! supervisor's replacement worker starts from the pre-swap snapshot and
 //! redoes the swap, exercising the exactly-once publish protocol of
 //! [`crate::IngestEngine::swap_backend`]; a delay at `worker::publish`
-//! holds back a checkpoint's or swap's query-slot publication, exercising
+//! holds back a commit's or swap's query-slot publication, exercising
 //! that `flush` and `swap_backend` wait for it. Without the feature every
 //! hook compiles to nothing.
 //!
@@ -186,9 +187,9 @@ impl FaultInjector {
     /// # Example: surviving a worker death
     ///
     /// Kill one shard's worker mid-stream and watch the engine recover —
-    /// the supervisor re-forks the shard from its last checkpoint, replays
-    /// the surviving queue, and the answers come out as if nothing
-    /// happened:
+    /// the supervisor re-forks the worker, which resumes from the shard's
+    /// committed snapshot and surviving queue, and the answers come out as
+    /// if nothing happened:
     ///
     /// ```
     /// use opthash_engine::{EngineConfig, FaultPlan, IngestEngine};
@@ -319,8 +320,9 @@ impl FaultInjector {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultEvent {
-    /// A batch panicked mid-apply; the worker discarded its scratch state,
-    /// rebuilt from the last checkpoint, and requeued the batch for retry.
+    /// A batch panicked mid-apply (or its worker died before committing
+    /// it); the working copy was dropped and the batch requeued for retry
+    /// against the shard's committed snapshot.
     BatchPanicked {
         /// Shard whose batch panicked.
         shard: usize,
@@ -341,8 +343,9 @@ pub enum FaultEvent {
         /// Number of pre-aggregated updates in the batch.
         updates: usize,
     },
-    /// A shard worker thread died; the supervisor re-forked a replacement
-    /// from the shard's last checkpoint and replayed its surviving queue.
+    /// A shard worker thread died; the supervisor re-forked a replacement,
+    /// which resumes from the shard's committed snapshot and surviving
+    /// queue.
     WorkerRestarted {
         /// Shard whose worker was restarted.
         shard: usize,
@@ -350,7 +353,7 @@ pub enum FaultEvent {
         /// generation 0).
         generation: u32,
     },
-    /// A panic struck inside the shard's checkpoint critical section; the
+    /// A panic struck inside the shard's commit critical section; the
     /// snapshot may be half-written, so the shard is fenced off and queries
     /// return [`crate::EngineError::ShardPoisoned`].
     ShardPoisoned {

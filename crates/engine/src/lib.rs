@@ -1,15 +1,14 @@
 //! # opthash-engine
 //!
-//! An always-on, sharded, fault-isolated ingestion engine that lets every
-//! frequency estimator in the workspace — the randomized baselines of
-//! `opthash-sketch` *and* the learned `opt-hash` estimators of the core
-//! crate — absorb heavy update traffic through one interface:
+//! An always-on, sharded, fault-isolated ingestion engine that lets the
+//! workspace's linear frequency estimators — the randomized baselines of
+//! `opthash-sketch` *and* the paper's learned [`opthash::OptHash`] — absorb
+//! heavy update traffic through one interface:
 //!
 //! * [`SketchBackend`] — weighted update / point query / fork / merge,
 //!   implemented by [`opthash_sketch::CountMinSketch`],
-//!   [`opthash_sketch::CountSketch`], [`opthash_sketch::LearnedCountMin`],
-//!   [`opthash_sketch::MisraGries`], [`opthash::OptHash`] and
-//!   [`opthash::AdaptiveOptHash`];
+//!   [`opthash_sketch::CountSketch`], [`opthash_sketch::LearnedCountMin`]
+//!   and [`opthash::OptHash`];
 //! * [`IngestEngine`] — hash-partitions arrivals by element ID across `N`
 //!   shards, pre-aggregates each shard's batch (duplicates collapse into one
 //!   weighted update — on the Zipfian streams the paper studies most
@@ -18,13 +17,16 @@
 //!   ingestion. Reads come in two flavours: wait-free epoch-stamped
 //!   snapshot queries ([`IngestEngine::query`], [`SnapshotReader`]) that
 //!   never touch the flush barrier, and barrier-synced queries
-//!   ([`IngestEngine::query_synced`]) that flush, sync every shard to a
-//!   consistent checkpoint, and merge the shard deltas.
+//!   ([`IngestEngine::query_synced`]) that flush, wait for every shard to
+//!   drain, and merge the shard deltas.
 //!
-//! Sharding by ID makes the engine *exact* for the linear backends and for
-//! the adaptive estimator: queries of a sharded engine equal those of the
-//! same backend fed sequentially (see the [`SketchBackend`] docs for the
-//! precise contract).
+//! The engine is *exact* for the linear backends: queries of a sharded
+//! engine equal those of the same backend fed sequentially (see the
+//! [`SketchBackend`] docs for the precise contract).
+//!
+//! Shard workers are stateless. For each batch a worker copies its shard's
+//! committed snapshot, applies the batch to the copy, and commits the copy
+//! as the shard's new snapshot, which is also what wait-free readers see.
 //!
 //! ## Robustness model
 //!
@@ -38,16 +40,16 @@
 //!   it waits. A shard buffer is dispatched the moment it reaches its batch
 //!   capacity, so it never grows past it.
 //! * **Panic isolation** — a panic inside batch application is confined to
-//!   the shard worker's scratch state; the batch is retried and, after
-//!   three attempts, quarantined as a poison pill
+//!   the worker's copy of the snapshot, which is dropped; the batch is
+//!   retried and, after three attempts, quarantined as a poison pill
 //!   ([`IngestEngine::quarantined`] exposes its updates). A batch that a
 //!   poisoned shard's full queue cannot take is quarantined the same way.
 //! * **Supervision** — a worker death is detected by the engine, which
-//!   re-forks the shard from its last checkpoint, replays the recovery
-//!   journal and surviving queue, and records a
+//!   requeues the inflight batch, re-forks a worker that resumes from the
+//!   shard's committed snapshot and surviving queue, and records a
 //!   [`FaultEvent::WorkerRestarted`] in the [`FaultLog`].
 //! * **Fault injection** — with the `failpoints` cargo feature, named
-//!   failpoints along the ingest/apply/checkpoint paths can be programmed
+//!   failpoints along the ingest/apply/commit paths can be programmed
 //!   per engine ([`IngestEngine::fault_injector`]) to panic, delay, or
 //!   error deterministically; see [`fault`] for the failpoint table. The
 //!   feature costs nothing when disabled.

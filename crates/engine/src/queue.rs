@@ -16,22 +16,25 @@
 //! small *control* mutex, held only for pointer-sized bookkeeping:
 //!
 //! * `retry` — batches being re-attempted after a panic (a requeued batch
-//!   bypasses the ring so the worker retries it before new work, exactly
-//!   like the old front-of-queue requeue);
+//!   bypasses the ring so the worker retries it before new work);
 //! * `inflight` — the batch the worker is currently applying (popping from
 //!   the ring and marking inflight happens under the control lock, so a
 //!   batch can never fall between the ring and the worker when a panic
 //!   strikes);
-//! * `journal` — batches applied since the last checkpoint. The worker's
-//!   private scratch state is `snapshot ⊕ journal`; a replacement worker
-//!   rebuilds it by cloning `snapshot` and replaying `journal` in order;
-//! * `snapshot` — the shard's last *consistent* accumulated delta, an
-//!   `Arc` replaced wholesale at each checkpoint (never mutated in place),
-//!   shared with the shard's [`crate::snapshot::PublishedSlot`] so
-//!   publishing a wait-free query snapshot costs one `Arc` clone;
+//! * `snapshot` — the shard's committed accumulated delta, an `Arc`
+//!   replaced wholesale by every commit (never mutated in place) and
+//!   shared with the shard's [`crate::snapshot::PublishedSlot`], so
+//!   publishing a wait-free query snapshot costs one `Arc` clone. The
+//!   worker applies each batch to a copy of it, and a replacement worker
+//!   simply starts from it;
 //! * `quarantined` — poison-pill batches set aside after exhausting their
 //!   application attempts, and batches a poisoned shard could not take,
 //!   retained so their mass stays accounted.
+//!
+//! A shard is *drained* when its ring, retry deque and inflight slot are
+//! all empty. Only the engine pushes, so the engine sees a drained shard
+//! stay drained, and its committed snapshot then covers every batch it
+//! dispatched.
 //!
 //! Dispatched-but-unapplied mass is tracked in a plain atomic
 //! (`queued_mass`) rather than a locked counter: the producer credits it
@@ -43,6 +46,7 @@
 //! rather than cascading panics.
 
 use crate::backend::SketchBackend;
+use crate::fault::{self, FaultEvent, SharedFaultLog};
 use crate::snapshot::PublishedSlot;
 use opthash_stream::StreamElement;
 use std::cell::UnsafeCell;
@@ -58,7 +62,7 @@ const SPIN_LIMIT: usize = 64;
 /// Backstop for the consumer's park: even a (theoretically impossible)
 /// missed knock costs at most this much latency. Kept lazy on purpose —
 /// every ring push knocks a parked consumer and every control-plane signal
-/// (close / sync / swap / retry) notifies under the control lock, so this
+/// (close / swap / retry) notifies under the control lock, so this
 /// timer only ever fires on an *idle* shard, where frequent spurious wakes
 /// would steal cycles from the ingest thread (acute on few-core hosts).
 const PARK_BACKSTOP: Duration = Duration::from_millis(25);
@@ -88,8 +92,8 @@ struct CachePadded<T>(T);
 /// structurally: the engine thread is the only producer, the shard worker
 /// the only consumer, and the consumer role is only ever handed off
 /// through a `thread::join` (supervision joins the dead worker before
-/// spawning its replacement; `finish` joins before draining leftovers),
-/// which gives the required happens-before edge.
+/// spawning its replacement), which gives the required happens-before
+/// edge.
 pub(crate) struct SpscRing<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     mask: usize,
@@ -186,7 +190,7 @@ impl<T> Drop for SpscRing<T> {
 
 /// A drained batch: the pre-aggregated `(element, count)` updates of one
 /// shard buffer. Immutable once built; shared by `Arc` between the ring,
-/// the inflight slot, and the journal, so requeue/replay never copies the
+/// the inflight slot and the retry deque, so a requeue never copies the
 /// update data.
 #[derive(Debug)]
 pub(crate) struct BatchData {
@@ -239,23 +243,20 @@ pub(crate) struct ControlInner<B> {
     /// a requeued batch keeps its old front-of-queue priority.
     pub retry: VecDeque<QueuedBatch>,
     pub inflight: Option<QueuedBatch>,
-    pub journal: Vec<Arc<BatchData>>,
-    /// The shard's last consistent accumulated delta. An `Arc` so the same
-    /// allocation serves recovery *and* the published query snapshot.
+    /// The shard's committed accumulated delta. An `Arc` so the same
+    /// allocation is the worker's starting point *and* the published query
+    /// snapshot.
     pub snapshot: Arc<B>,
     /// Applied count mass `snapshot` accounts for (under the current scheme
     /// version).
     pub snapshot_mass: u64,
     pub quarantined: Vec<Arc<BatchData>>,
     pub counters: ShardCounters,
-    /// Latest sync barrier requested by the engine.
-    pub sync_epoch: u64,
-    /// Latest sync barrier the worker has checkpointed for.
-    pub acked_epoch: u64,
     /// Pending scheme hot-swap: the target scheme version and the new base
-    /// backend the worker re-forks its scratch state from once its queue is
-    /// drained. Left in place until [`ShardChannel::complete_swap`], so a
-    /// worker that dies mid-swap is simply redone by its replacement.
+    /// backend the worker forks the shard's new snapshot from once its
+    /// queue is drained. Left in place until
+    /// [`ShardChannel::complete_swap`], so a worker that dies mid-swap is
+    /// simply redone by its replacement.
     pub swap_request: Option<(u64, Arc<B>)>,
     /// The retired pre-swap shard delta published by the last completed
     /// swap, awaiting collection by the engine.
@@ -277,30 +278,16 @@ impl<B> ControlInner<B> {
 pub(crate) enum WorkerEvent<B> {
     /// Apply this batch (already marked inflight).
     Batch(QueuedBatch),
-    /// Queue is drained and a scheme swap is pending: retire the scratch
-    /// state and re-fork it from this base, then
-    /// [`ShardChannel::complete_swap`].
+    /// Queue is drained and a scheme swap is pending: fork the shard's new
+    /// snapshot from this base, then [`ShardChannel::complete_swap`].
     Swap {
         /// The scheme version the swap installs.
         version: u64,
-        /// The new base backend to fork the fresh scratch from.
+        /// The new base backend to fork the fresh snapshot from.
         base: Arc<B>,
     },
-    /// Queue is drained and a sync barrier is pending: checkpoint and ack
-    /// the given epoch.
-    Sync(u64),
-    /// The channel is closed: exit.
+    /// The channel is closed and drained: exit.
     Shutdown,
-}
-
-/// Outcome of failing the inflight batch (panic or worker death).
-pub(crate) enum FailDisposition {
-    /// Requeued at the front for another attempt.
-    Requeued { attempt: u32, mass: u64 },
-    /// Attempts exhausted: set aside in the quarantine.
-    Quarantined { mass: u64, updates: usize },
-    /// There was no inflight batch (death outside batch application).
-    Idle,
 }
 
 #[derive(Debug)]
@@ -308,9 +295,9 @@ pub(crate) struct ShardChannel<B> {
     /// The lock-free hot path: attempt-0 batches from engine to worker.
     ring: SpscRing<Arc<BatchData>>,
     control: Mutex<ControlInner<B>>,
-    /// Worker parks here for work / sync / close.
+    /// Worker parks here for work / swap / close.
     work: Condvar,
-    /// Engine parks here for ring space, checkpoint acks, and commits.
+    /// Engine parks here for ring space, commits, swaps and quarantines.
     progress: Condvar,
     /// Set by the consumer just before parking; the producer checks it
     /// after publishing a push and knocks (lock + notify) only when set —
@@ -339,13 +326,10 @@ impl<B: SketchBackend> ShardChannel<B> {
             control: Mutex::new(ControlInner {
                 retry: VecDeque::new(),
                 inflight: None,
-                journal: Vec::new(),
                 snapshot,
                 snapshot_mass: 0,
                 quarantined: Vec::new(),
                 counters: ShardCounters::default(),
-                sync_epoch: 0,
-                acked_epoch: 0,
                 swap_request: None,
                 retired: None,
                 closed: false,
@@ -386,12 +370,6 @@ impl<B: SketchBackend> ShardChannel<B> {
     /// Mass dispatched but not yet applied or quarantined.
     pub fn queued_mass(&self) -> u64 {
         self.queued_mass.load(Ordering::Acquire)
-    }
-
-    /// Debits dispatched mass settled outside the worker (the engine's
-    /// shutdown catch-up applies or quarantines leftovers itself).
-    pub fn debit_queued_mass(&self, mass: u64) {
-        self.queued_mass.fetch_sub(mass, Ordering::AcqRel);
     }
 
     /// Enqueues a batch if there is room, without taking the control lock.
@@ -459,41 +437,42 @@ impl<B: SketchBackend> ShardChannel<B> {
         (self.ring.len() < self.capacity, inner.poisoned)
     }
 
-    /// Waits until the sync barrier for `epoch` completes (or the shard is
-    /// poisoned), up to `timeout`. Returns `(done, poisoned)`. The
-    /// condition is re-checked under the same lock the wait sleeps on and
-    /// the worker acks under that lock, so a completion can never slip
-    /// between the check and the sleep.
-    pub fn wait_sync(&self, epoch: u64, timeout: Duration) -> (bool, bool) {
-        let mut inner = self.lock_always();
-        if inner.acked_epoch >= epoch || inner.poisoned {
-            return (inner.acked_epoch >= epoch, inner.poisoned);
+    /// Waits until the shard is drained (or poisoned), up to `timeout`.
+    /// Returns `(drained, poisoned)`. The condition is re-checked under the
+    /// same lock the wait sleeps on, and the worker commits and dispositions
+    /// batches under that lock, so a completion can never slip between the
+    /// check and the sleep.
+    pub fn wait_drained(&self, timeout: Duration) -> (bool, bool) {
+        let inner = self.lock_always();
+        if self.is_drained(&inner) || inner.poisoned {
+            return (self.is_drained(&inner), inner.poisoned);
         }
-        inner = self
+        let inner = self
             .progress
             .wait_timeout(inner, timeout)
             .unwrap_or_else(PoisonError::into_inner)
             .0;
-        (inner.acked_epoch >= epoch, inner.poisoned)
+        (self.is_drained(&inner), inner.poisoned)
     }
 
-    /// Requests a sync barrier: once the worker drains its queue it will
-    /// checkpoint and ack the returned epoch.
-    pub fn request_sync(&self) -> u64 {
-        let mut inner = self.lock_always();
-        inner.sync_epoch += 1;
-        let epoch = inner.sync_epoch;
-        drop(inner);
-        self.work.notify_all();
-        epoch
+    /// Whether every dispatched batch has been committed or quarantined.
+    /// Called with the control lock held: a batch moves from the ring to
+    /// the inflight slot, and on to the retry deque, only under that lock.
+    fn is_drained(&self, inner: &ControlInner<B>) -> bool {
+        inner.inflight.is_none() && inner.retry.is_empty() && self.ring.is_empty()
+    }
+
+    /// Whether the channel is closed and has nothing left to apply, so a
+    /// finished worker thread exited rather than died.
+    pub fn closed_and_drained(&self) -> bool {
+        let inner = self.lock_always();
+        inner.closed && self.is_drained(&inner)
     }
 
     /// Requests a scheme hot-swap to `version`: once the worker drains its
-    /// queue it will retire its scratch delta and re-fork from `base`. The
-    /// request stays set until the worker completes it, so a worker death
-    /// mid-swap is redone by the replacement worker (exactly-once via
-    /// `snapshot ⊕ journal`, which the swap only clears atomically on
-    /// completion).
+    /// queue it will retire the shard's snapshot and fork a fresh one from
+    /// `base`. The request stays set until the worker completes it, so a
+    /// worker death mid-swap is redone by the replacement worker.
     pub fn request_swap(&self, version: u64, base: Arc<B>) {
         let mut inner = self.lock_always();
         inner.swap_request = Some((version, base));
@@ -522,8 +501,8 @@ impl<B: SketchBackend> ShardChannel<B> {
         self.lock_always().retired.take()
     }
 
-    /// Closes the channel: the worker drains the remaining queue, publishes
-    /// its scratch state via [`ShardChannel::publish_exit`], and exits.
+    /// Closes the channel: the worker commits the remaining queue, then
+    /// exits.
     pub fn close(&self) {
         let mut inner = self.lock_always();
         inner.closed = true;
@@ -532,29 +511,17 @@ impl<B: SketchBackend> ShardChannel<B> {
         self.progress.notify_all();
     }
 
-    pub fn is_closed(&self) -> bool {
-        self.lock_always().closed
-    }
-
-    /// Whether any dispatched batch has not been drained by the worker.
-    pub fn has_undrained(&self) -> bool {
-        !self.ring.is_empty()
-    }
-
-    /// Pops a still-queued batch after the worker thread has been
-    /// **joined** — the join hands the consumer role to the caller (see
-    /// the [`SpscRing`] safety contract). Used by the engine's shutdown
-    /// catch-up and by supervision's leftovers accounting.
-    pub fn pop_after_join(&self) -> Option<Arc<BatchData>> {
-        self.ring.pop()
-    }
-
     // -- worker (consumer) side --------------------------------------------
 
+    /// The shard's committed snapshot, or `None` if the shard is poisoned.
+    pub fn snapshot(&self) -> Option<Arc<B>> {
+        let inner = self.lock_always();
+        (!inner.poisoned).then(|| Arc::clone(&inner.snapshot))
+    }
+
     /// Blocks for the next worker event. Popping a batch and marking it
-    /// inflight happens under the control lock, and a sync barrier is only
-    /// surfaced once the queue is empty, so a completed barrier proves the
-    /// snapshot covers every batch dispatched before it.
+    /// inflight happens under the control lock, and a swap or shutdown is
+    /// only surfaced once the queue is empty.
     pub fn next_event(&self) -> WorkerEvent<B> {
         let mut idle = false;
         loop {
@@ -579,7 +546,7 @@ impl<B: SketchBackend> ShardChannel<B> {
             }
             // Ring batches outrank shutdown: a closed channel is drained
             // before the worker exits, so `close` never strands admitted
-            // mass (the exit publish then covers every applied batch).
+            // mass.
             if let Some(data) = self.ring.pop() {
                 let batch = QueuedBatch { data, attempts: 0 };
                 inner.inflight = Some(batch.clone());
@@ -598,9 +565,6 @@ impl<B: SketchBackend> ShardChannel<B> {
             }
             if inner.closed {
                 return WorkerEvent::Shutdown;
-            }
-            if inner.sync_epoch > inner.acked_epoch {
-                return WorkerEvent::Sync(inner.sync_epoch);
             }
             // Park. Announce the flag, then re-check the ring once: the
             // producer checks the flag only *after* its tail store (with a
@@ -627,18 +591,33 @@ impl<B: SketchBackend> ShardChannel<B> {
         }
     }
 
-    /// Records a successfully applied batch: journals it for recovery,
-    /// clears the inflight slot, and credits the applied counters — one
-    /// critical section, so recovery sees the batch either inflight (will
-    /// replay) or journaled (already applied), never both or neither.
-    pub fn commit(&self, batch: QueuedBatch) {
+    /// Commits a successfully applied batch: credits the applied counters,
+    /// makes `snapshot` (the worker's copy with the batch applied) the
+    /// shard's committed snapshot, clears the inflight slot and publishes
+    /// the snapshot to the query slot — one critical section, so the batch
+    /// is either inflight (to be applied again) or inside the committed
+    /// snapshot, never both or neither.
+    ///
+    /// `failpoint` is called with the `worker::checkpoint` and
+    /// `worker::publish` failpoint names, both inside the critical section
+    /// (a panic at either poisons the shard, which is exactly the scenario
+    /// they exist to exercise). Because the slot is published before the
+    /// control lock drops, an engine that sees the shard drained already
+    /// sees the batch on the wait-free path. Readers never take the control
+    /// lock, and the slot lock wraps one `Arc` store, so a reader still
+    /// never waits on the control section.
+    pub fn commit(&self, batch: QueuedBatch, snapshot: Arc<B>, failpoint: impl Fn(&'static str)) {
         let mut inner = self.lock_always();
+        let mass = batch.data.mass;
         inner.counters.applied_updates += batch.data.updates.len() as u64;
-        inner.counters.applied_mass += batch.data.mass;
-        self.queued_mass
-            .fetch_sub(batch.data.mass, Ordering::AcqRel);
-        inner.journal.push(batch.data);
+        inner.counters.applied_mass += mass;
+        self.queued_mass.fetch_sub(mass, Ordering::AcqRel);
+        failpoint("worker::checkpoint");
+        inner.snapshot = Arc::clone(&snapshot);
+        inner.snapshot_mass += mass;
         inner.inflight = None;
+        failpoint("worker::publish");
+        self.slot.publish(snapshot, inner.snapshot_mass);
         drop(inner);
         self.progress.notify_all();
     }
@@ -646,89 +625,57 @@ impl<B: SketchBackend> ShardChannel<B> {
     /// Fails the inflight batch (after a caught panic or a worker death):
     /// requeues it at the front of the retry deque for another attempt, or
     /// quarantines it once `MAX_BATCH_ATTEMPTS` attempts are exhausted.
-    pub fn fail_inflight(&self) -> FailDisposition {
+    ///
+    /// The [`FaultEvent`] is recorded in `log` before the control lock
+    /// drops, so an engine that sees the shard drained also sees the event.
+    /// The lock order is control, then fault log.
+    pub fn fail_inflight(&self, log: &SharedFaultLog, shard: usize) {
         let mut inner = self.lock_always();
         let Some(batch) = inner.inflight.take() else {
-            return FailDisposition::Idle;
+            return;
         };
         inner.counters.batch_failures += 1;
         let attempt = batch.attempts + 1;
         let mass = batch.data.mass;
-        if attempt >= MAX_BATCH_ATTEMPTS {
+        let event = if attempt >= MAX_BATCH_ATTEMPTS {
             let updates = batch.data.updates.len();
             self.queued_mass.fetch_sub(mass, Ordering::AcqRel);
             inner.quarantine(batch.data);
-            drop(inner);
-            self.progress.notify_all();
-            FailDisposition::Quarantined { mass, updates }
+            FaultEvent::BatchQuarantined {
+                shard,
+                mass,
+                updates,
+            }
         } else {
             inner.retry.push_front(QueuedBatch {
                 data: batch.data,
                 attempts: attempt,
             });
-            drop(inner);
-            self.work.notify_all();
-            FailDisposition::Requeued { attempt, mass }
-        }
-    }
-
-    /// Replaces the shard snapshot with a freshly cloned consistent state
-    /// (carrying `mass` applied count mass) and clears the journal it
-    /// covers; acks `epoch` if this checkpoint completes a sync barrier.
-    /// `failpoint` is called with the `worker::checkpoint` and
-    /// `worker::publish` failpoint names, both inside the critical section
-    /// (a panic at either poisons the shard, which is exactly the scenario
-    /// they exist to exercise).
-    ///
-    /// The same `Arc` is published to the shard's query-snapshot slot
-    /// *before* the control lock drops, so by the time a barrier observes
-    /// the ack, the wait-free path already reflects it. Readers never take
-    /// the control lock, and the slot lock wraps one `Arc` store, so a
-    /// reader still never waits on the control section, and a publication
-    /// costs one `Arc` clone rather than a state copy.
-    pub fn checkpoint(
-        &self,
-        snapshot: Arc<B>,
-        mass: u64,
-        epoch: Option<u64>,
-        failpoint: impl Fn(&'static str),
-    ) {
-        let mut inner = self.lock_always();
-        failpoint("worker::checkpoint");
-        inner.snapshot = Arc::clone(&snapshot);
-        inner.snapshot_mass = mass;
-        inner.journal.clear();
-        if let Some(epoch) = epoch {
-            inner.acked_epoch = epoch;
-        }
-        failpoint("worker::publish");
-        self.slot.publish(snapshot, mass);
+            FaultEvent::BatchPanicked {
+                shard,
+                attempt,
+                mass,
+            }
+        };
+        fault::record(log, event);
         drop(inner);
         self.progress.notify_all();
     }
 
-    /// Completes a pending scheme swap in one critical section: the shard's
-    /// recovery state becomes `fresh` (the worker's new scratch, a fork of
-    /// the swapped-in base) with an empty journal, the pre-swap delta
-    /// (carrying `retired_mass`) is parked for the engine to collect, and
-    /// the request is cleared. Until this commits, recovery still
-    /// reconstructs the *old* scratch — so the swap is atomic with respect
-    /// to worker death. The fresh and retired snapshots are published to
-    /// the query-snapshot slot under the new `version` in the same critical
-    /// section (after `failpoint("worker::publish")`), so the engine never
-    /// sees the request cleared before readers can see the new version.
-    pub fn complete_swap(
-        &self,
-        version: u64,
-        fresh: Arc<B>,
-        retired: Arc<B>,
-        retired_mass: u64,
-        failpoint: impl Fn(&'static str),
-    ) {
+    /// Completes a pending scheme swap in one critical section: `fresh` (a
+    /// fork of the swapped-in base) becomes the shard's committed snapshot,
+    /// the pre-swap snapshot is parked for the engine to collect, and the
+    /// request is cleared. Until this commits, a replacement worker still
+    /// starts from the *old* snapshot and redoes the swap — so the swap is
+    /// atomic with respect to worker death. The fresh and retired snapshots
+    /// are published to the query-snapshot slot under the new `version` in
+    /// the same critical section (after `failpoint("worker::publish")`), so
+    /// the engine never sees the request cleared before readers can see the
+    /// new version.
+    pub fn complete_swap(&self, version: u64, fresh: Arc<B>, failpoint: impl Fn(&'static str)) {
         let mut inner = self.lock_always();
-        inner.snapshot = Arc::clone(&fresh);
-        inner.snapshot_mass = 0;
-        inner.journal.clear();
+        let retired = std::mem::replace(&mut inner.snapshot, Arc::clone(&fresh));
+        let retired_mass = std::mem::take(&mut inner.snapshot_mass);
         inner.retired = Some(Arc::clone(&retired));
         inner.swap_request = None;
         failpoint("worker::publish");
@@ -736,37 +683,6 @@ impl<B: SketchBackend> ShardChannel<B> {
             .publish_swap(version, fresh, retired_mass, retired);
         drop(inner);
         self.progress.notify_all();
-    }
-
-    /// Publishes the worker's final scratch state on clean shutdown: a
-    /// checkpoint by *move* (no clone — the worker is done with it), which
-    /// also acks any pending sync barrier and refreshes the query-snapshot
-    /// slot one last time, before the ack becomes visible.
-    pub fn publish_exit(&self, state: B, mass: u64) {
-        let published = Arc::new(state);
-        let mut inner = self.lock_always();
-        inner.snapshot = Arc::clone(&published);
-        inner.snapshot_mass = mass;
-        inner.journal.clear();
-        inner.acked_epoch = inner.sync_epoch;
-        self.slot.publish(published, mass);
-        drop(inner);
-        self.progress.notify_all();
-    }
-
-    /// The shard's recovery state: its last consistent snapshot (with the
-    /// applied mass it carries) plus the journal of batches applied since.
-    /// `None` if the shard is poisoned.
-    pub fn recovery_state(&self) -> Option<(B, u64, Vec<Arc<BatchData>>)> {
-        let inner = self.lock_always();
-        if inner.poisoned {
-            return None;
-        }
-        Some((
-            (*inner.snapshot).clone(),
-            inner.snapshot_mass,
-            inner.journal.clone(),
-        ))
     }
 }
 
@@ -901,7 +817,7 @@ mod tests {
                     match cell.next_event() {
                         WorkerEvent::Batch(b) => {
                             seen.push(b.data.mass);
-                            cell.commit(b);
+                            cell.commit(b, cell.snapshot().unwrap(), |_| {});
                         }
                         WorkerEvent::Shutdown => return seen,
                         _ => panic!("unexpected event"),
@@ -917,8 +833,10 @@ mod tests {
     #[test]
     fn parked_consumer_wakes_for_pushes_and_retry_outranks_the_ring() {
         let cell = Arc::new(channel(4));
+        let log = SharedFaultLog::default();
         let consumer = {
             let cell = Arc::clone(&cell);
+            let log = Arc::clone(&log);
             thread::spawn(move || {
                 let mut masses = Vec::new();
                 loop {
@@ -927,11 +845,11 @@ mod tests {
                             // Fail the very first batch once so it lands in
                             // the retry deque and must come back first.
                             if masses.is_empty() && b.attempts == 0 && b.data.mass == 7 {
-                                cell.fail_inflight();
+                                cell.fail_inflight(&log, 0);
                                 continue;
                             }
                             masses.push((b.data.mass, b.attempts));
-                            cell.commit(b);
+                            cell.commit(b, cell.snapshot().unwrap(), |_| {});
                         }
                         WorkerEvent::Shutdown => return masses,
                         _ => panic!("unexpected event"),
@@ -952,5 +870,6 @@ mod tests {
             "retried batch surfaces before newer ring work"
         );
         assert_eq!(cell.queued_mass(), 0);
+        assert_eq!(log.lock().unwrap().batch_panics(), 1);
     }
 }

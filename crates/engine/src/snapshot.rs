@@ -3,15 +3,15 @@
 //! Every shard of an [`crate::IngestEngine`] owns a `PublishedSlot`: an
 //! immutable `Arc` snapshot of the shard's accumulated delta, tagged with a
 //! monotonically increasing **epoch** and the scheme version it was built
-//! under. Workers publish into their slot at every checkpoint, at every
-//! completed scheme hot-swap, and on clean exit — inside the shard's
-//! control critical section, before the checkpoint or swap is acknowledged,
+//! under. Workers publish into their slot at every batch commit and every
+//! completed scheme hot-swap — inside the shard's control critical
+//! section, in the same step that commits the batch or completes the swap,
 //! so a returned [`crate::IngestEngine::flush`] or
 //! [`crate::IngestEngine::swap_backend`] is already visible here. Readers
 //! never take that control lock, and the slot lock itself wraps nothing but
 //! an `Arc` store. A reader therefore never waits behind batch application,
-//! a flush barrier, or a checkpoint clone: the worst case is the
-//! nanoseconds another thread spends swapping two pointers.
+//! a flush barrier, or a snapshot copy: the worst case is the nanoseconds
+//! another thread spends swapping two pointers.
 //!
 //! [`SnapshotReader`] assembles the latest published snapshot set into a
 //! merged estimator view (cached until any epoch advances) and answers
@@ -64,12 +64,12 @@ pub struct EpochStamp {
     /// merged shard snapshot was built under.
     pub scheme_version: u64,
     /// Each shard's publication epoch, in shard order. An epoch advances
-    /// whenever the shard checkpoints, completes a swap, or exits.
+    /// whenever the shard commits a batch or completes a swap.
     pub epoch_per_shard: Arc<[u64]>,
     /// Total count mass applied into the stamped shard snapshots under
-    /// `scheme_version` — mass admitted but not yet applied (buffered,
-    /// queued, or inflight), or applied but not yet checkpointed, is not
-    /// included; that is exactly the staleness the stamp makes visible.
+    /// `scheme_version` — mass admitted but not yet committed (buffered,
+    /// queued, or inflight) is not included; that is exactly the staleness
+    /// the stamp makes visible.
     pub mass_accounted: u64,
 }
 
@@ -93,8 +93,8 @@ struct ShardSnapshot<B> {
     version: u64,
     /// Applied count mass `delta` accounts for.
     mass: u64,
-    /// The shard's checkpointed delta (immutable, shared with the shard's
-    /// recovery snapshot — publication costs one `Arc` clone, not a state
+    /// The shard's committed delta (immutable, shared with the shard
+    /// channel's snapshot — publication costs one `Arc` clone, not a state
     /// copy).
     delta: Arc<B>,
     /// The final delta of the previous scheme version, retained across a
@@ -104,7 +104,7 @@ struct ShardSnapshot<B> {
 }
 
 /// A shard's publication slot. The lock inside wraps only `Arc` stores and
-/// clones — it is never held across batch application, checkpoint clones,
+/// clones — it is never held across batch application, snapshot copies,
 /// or barrier waits, which is what makes snapshot reads wait-free in
 /// practice.
 #[derive(Debug)]
@@ -143,8 +143,8 @@ impl<B: SketchBackend> PublishedSlot<B> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Publishes a new checkpoint of the shard's delta under the current
-    /// scheme version.
+    /// Publishes the shard's newly committed delta under the current scheme
+    /// version.
     pub fn publish(&self, delta: Arc<B>, mass: u64) {
         let mut state = self.lock();
         state.delta = delta;
@@ -154,9 +154,8 @@ impl<B: SketchBackend> PublishedSlot<B> {
     }
 
     /// Publishes a completed scheme swap: `delta` is the fresh (empty)
-    /// scratch under `version`, and the shard's final old-scheme delta is
-    /// retained as `prev` (with its true `retired_mass`, which may exceed
-    /// the last checkpointed mass) until the next swap.
+    /// snapshot under `version`, and the shard's final old-scheme delta is
+    /// retained as `prev` (with its `retired_mass`) until the next swap.
     pub fn publish_swap(&self, version: u64, delta: Arc<B>, retired_mass: u64, retired: Arc<B>) {
         let mut state = self.lock();
         state.prev = Some((state.version, retired_mass, retired));

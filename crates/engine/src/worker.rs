@@ -1,37 +1,26 @@
-//! Persistent, panic-isolated shard workers.
+//! Persistent, panic-isolated, stateless shard workers.
 //!
-//! Each shard of an [`crate::IngestEngine`] runs one thread that
-//! drains the shard's [`ShardChannel`] for as long as the engine lives. The
-//! worker owns a private *scratch* backend (always equal to the shard's
-//! checkpointed snapshot plus the journaled batches replayed on top) and
-//! applies every batch inside [`std::panic::catch_unwind`]:
+//! Each shard of an [`crate::IngestEngine`] runs one thread that drains the
+//! shard's [`ShardChannel`] for as long as the engine lives. The worker
+//! keeps no state of its own between batches. For each batch it copies the
+//! shard's committed snapshot, applies the batch to the copy inside
+//! [`std::panic::catch_unwind`], and commits the copy as the shard's new
+//! snapshot:
 //!
-//! * a panic during batch application corrupts only the scratch state — the
-//!   worker discards it, rebuilds from `snapshot ⊕ journal`, and the failed
-//!   batch is retried (then quarantined after three attempts, so a poison
-//!   pill can't wedge the shard forever);
+//! * a panic during batch application leaves only the copy suspect — the
+//!   worker drops it, and the failed batch is retried (then quarantined
+//!   after three attempts, so a poison pill can't wedge the shard forever);
 //! * a panic that escapes the loop kills the thread — the engine's
-//!   supervisor detects the death, requeues any inflight batch, spawns a
-//!   replacement worker of the next generation, and the replacement rebuilds
-//!   the scratch state the same way, replaying the surviving queue;
-//! * every `checkpoint_interval` committed batches (and at every sync
-//!   barrier) the worker publishes a clone of its scratch state as the new
-//!   snapshot, bounding both the journal's memory and the replay a recovery
-//!   has to perform.
+//!   supervisor detects the death, requeues any inflight batch, and spawns
+//!   a replacement worker of the next generation, which starts from the
+//!   committed snapshot and drains the surviving queue.
 
 use crate::backend::SketchBackend;
-use crate::fault::{self, FaultEvent, FaultInjector, SharedFaultLog};
-use crate::queue::{BatchData, FailDisposition, ShardChannel, WorkerEvent};
+use crate::fault::{FaultInjector, SharedFaultLog};
+use crate::queue::{BatchData, ShardChannel, WorkerEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Worker-side configuration, copied out of the engine config.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WorkerConfig {
-    pub shard: usize,
-    pub checkpoint_interval: u32,
-}
 
 /// The engine's handle to one shard: channel, thread, and restart
 /// bookkeeping. Dropping the handle closes the channel and joins the
@@ -62,19 +51,11 @@ impl<B: SketchBackend> Drop for ShardHandle<B> {
     }
 }
 
-/// Applies every update of a batch, without failpoints — used for journal
-/// replay, which re-applies batches that already succeeded once. Uses the
-/// backend's (possibly row-major) bulk path.
-pub(crate) fn apply_batch<B: SketchBackend>(backend: &mut B, batch: &BatchData) {
-    backend.ingest_batch(&batch.updates);
-}
-
-/// Applies every update of a batch — the first-application path. With the
-/// `failpoints` feature the per-update loop consults the `worker::apply`
-/// failpoint before each update (so a test can panic mid-batch); without it
-/// the batch goes through the backend's bulk path.
+/// Applies every update of a batch. With the `failpoints` feature the
+/// per-update loop consults the `worker::apply` failpoint before each
+/// update (so a test can panic mid-batch).
 #[cfg(feature = "failpoints")]
-pub(crate) fn apply_batch_injected<B: SketchBackend>(
+fn apply_batch<B: SketchBackend>(
     backend: &mut B,
     batch: &BatchData,
     faults: &FaultInjector,
@@ -86,146 +67,78 @@ pub(crate) fn apply_batch_injected<B: SketchBackend>(
     }
 }
 
-/// Failpoint-free build: batch application is exactly the bulk path.
+/// Failpoint-free build: batch application is the backend's (possibly
+/// row-major) bulk path.
 #[cfg(not(feature = "failpoints"))]
-pub(crate) fn apply_batch_injected<B: SketchBackend>(
+fn apply_batch<B: SketchBackend>(
     backend: &mut B,
     batch: &BatchData,
     _faults: &FaultInjector,
     _shard: usize,
 ) {
-    apply_batch(backend, batch);
+    backend.ingest_batch(&batch.updates);
 }
 
-/// Spawns a worker of the given generation for `cell`.
+/// Spawns a worker of the given generation for `shard`'s channel.
 pub(crate) fn spawn_worker<B: SketchBackend + 'static>(
     cell: Arc<ShardChannel<B>>,
     log: SharedFaultLog,
     faults: FaultInjector,
-    config: WorkerConfig,
+    shard: usize,
     generation: u32,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
-        .name(format!("opthash-shard-{}.{generation}", config.shard))
-        // Workers keep their state on the heap (scratch backend + batches);
+        .name(format!("opthash-shard-{shard}.{generation}"))
+        // Workers keep their state on the heap (snapshot copies + batches);
         // a small stack makes spawning cheap enough for short-lived engines.
         .stack_size(256 * 1024)
-        .spawn(move || run_worker(cell, log, faults, config))
+        .spawn(move || run_worker(&cell, &log, &faults, shard))
         .expect("failed to spawn shard worker thread")
 }
 
 fn run_worker<B: SketchBackend>(
-    cell: Arc<ShardChannel<B>>,
-    log: SharedFaultLog,
-    faults: FaultInjector,
-    config: WorkerConfig,
+    cell: &ShardChannel<B>,
+    log: &SharedFaultLog,
+    faults: &FaultInjector,
+    shard: usize,
 ) {
-    let shard = config.shard;
-    // Bootstrap (and rebuild, for a replacement worker): scratch state is
-    // the last consistent snapshot plus the journal replayed in order; the
-    // mass tally rides along so every published snapshot carries the
-    // applied mass it accounts for.
-    let Some((mut scratch, mut scratch_mass)) = rebuild_scratch(&cell) else {
-        return; // shard poisoned: nothing a worker can safely do
-    };
-    let mut since_checkpoint = 0u32;
     let failpoint = |name| faults.hit_at(name, Some(shard));
     loop {
         faults.hit_at("worker::poll", Some(shard));
         match cell.next_event() {
-            WorkerEvent::Shutdown => {
-                // Final checkpoint by move: the queue is already drained
-                // (`next_event` prefers batches over shutdown), so scratch
-                // covers every dispatched batch and no clone is needed.
-                cell.publish_exit(scratch, scratch_mass);
-                return;
-            }
+            WorkerEvent::Shutdown => return,
             WorkerEvent::Swap { version, base } => {
                 // A panic here (the `worker::swap` failpoint) escapes the
                 // loop and kills the worker *before* anything changed: the
                 // request is still pending, so the supervisor's replacement
-                // worker rebuilds the old scratch and redoes the swap.
+                // worker redoes the swap.
                 faults.hit_at("worker::swap", Some(shard));
-                let fresh = base.fork();
-                let retired = std::mem::replace(&mut scratch, fresh);
-                cell.complete_swap(
-                    version,
-                    Arc::new(scratch.clone()),
-                    Arc::new(retired),
-                    scratch_mass,
-                    failpoint,
-                );
-                scratch_mass = 0;
-                since_checkpoint = 0;
-            }
-            WorkerEvent::Sync(epoch) => {
-                let snapshot = Arc::new(scratch.clone());
-                cell.checkpoint(snapshot, scratch_mass, Some(epoch), failpoint);
-                since_checkpoint = 0;
+                cell.complete_swap(version, Arc::new(base.fork()), failpoint);
             }
             WorkerEvent::Batch(batch) => {
+                let Some(committed) = cell.snapshot() else {
+                    return; // shard poisoned: nothing a worker can safely do
+                };
                 faults.hit_at("worker::batch", Some(shard));
                 let applied = catch_unwind(AssertUnwindSafe(|| {
-                    apply_batch_injected(&mut scratch, &batch.data, &faults, shard);
+                    let mut copy = (*committed).clone();
+                    apply_batch(&mut copy, &batch.data, faults, shard);
+                    copy
                 }));
                 match applied {
-                    Ok(()) => {
+                    Ok(copy) => {
                         // A death here (between apply and commit) leaves the
-                        // batch inflight: the replacement worker's rebuilt
-                        // scratch excludes it and the supervisor requeues it,
-                        // so it is applied exactly once either way.
+                        // batch inflight and the committed snapshot without
+                        // it; the supervisor requeues it, so it is applied
+                        // exactly once either way.
                         faults.hit_at("worker::before_commit", Some(shard));
-                        let mass = batch.data.mass;
-                        cell.commit(batch);
-                        scratch_mass += mass;
-                        since_checkpoint += 1;
-                        if since_checkpoint >= config.checkpoint_interval {
-                            let snapshot = Arc::new(scratch.clone());
-                            cell.checkpoint(snapshot, scratch_mass, None, failpoint);
-                            since_checkpoint = 0;
-                        }
+                        cell.commit(batch, Arc::new(copy), failpoint);
                     }
-                    Err(_) => {
-                        // The scratch state is suspect (the panic may have
-                        // struck mid-update): disposition the batch, then
-                        // rebuild scratch from the last consistent state.
-                        match cell.fail_inflight() {
-                            FailDisposition::Requeued { attempt, mass } => fault::record(
-                                &log,
-                                FaultEvent::BatchPanicked {
-                                    shard,
-                                    attempt,
-                                    mass,
-                                },
-                            ),
-                            FailDisposition::Quarantined { mass, updates } => fault::record(
-                                &log,
-                                FaultEvent::BatchQuarantined {
-                                    shard,
-                                    mass,
-                                    updates,
-                                },
-                            ),
-                            FailDisposition::Idle => {}
-                        }
-                        let Some((rebuilt, rebuilt_mass)) = rebuild_scratch(&cell) else {
-                            return;
-                        };
-                        scratch = rebuilt;
-                        scratch_mass = rebuilt_mass;
-                        since_checkpoint = 0;
-                    }
+                    // The panic may have struck mid-update, so the copy is
+                    // gone with it; the committed snapshot is untouched.
+                    Err(_) => cell.fail_inflight(log, shard),
                 }
             }
         }
     }
-}
-
-fn rebuild_scratch<B: SketchBackend>(cell: &ShardChannel<B>) -> Option<(B, u64)> {
-    let (mut scratch, mut mass, journal) = cell.recovery_state()?;
-    for batch in &journal {
-        apply_batch(&mut scratch, batch);
-        mass += batch.mass;
-    }
-    Some((scratch, mass))
 }

@@ -12,7 +12,10 @@
 //! buffer holds no complete request line — so a window costs one write, not
 //! one per request. Accepted streams set `TCP_NODELAY`, so a flush never
 //! waits for the client's delayed ACK. A request split across reads, even
-//! across a read-timeout poll, is reassembled before it is parsed.
+//! across a read-timeout poll, is reassembled before it is parsed. A request
+//! line longer than [`MAX_REQUEST_LINE`] bytes is answered with
+//! `ERR request line too long` and the connection is closed, so a client
+//! that never sends a newline cannot grow the server's memory.
 //!
 //! Shutdown is cooperative and clean: the accept loop polls a flag between
 //! non-blocking accepts, connection handlers poll it between read timeouts,
@@ -22,7 +25,7 @@
 
 use crate::protocol::Command;
 use crate::registry::SketchRegistry;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,6 +37,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// Read timeout after which a connection handler re-checks the shutdown
 /// flag (an idle client never pins the server open).
 const READ_POLL: Duration = Duration::from_millis(50);
+/// Longest request line the server reads, newline included; a longer one
+/// is refused rather than buffered.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// A running line-protocol server around a shared registry.
 ///
@@ -176,7 +182,10 @@ fn handle_connection(
         if !reader.buffer().contains(&b'\n') && writer.flush().is_err() {
             return;
         }
-        match reader.read_until(b'\n', &mut line) {
+        // The read itself is bounded, so an endless line stops at the limit
+        // instead of growing `line`.
+        let budget = (MAX_REQUEST_LINE - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) if line.is_empty() => return, // client closed the connection
             Ok(_) => {}
             Err(err)
@@ -185,6 +194,10 @@ fn handle_connection(
                 continue; // idle: re-check the shutdown flag, keeping any partial line
             }
             Err(_) => return,
+        }
+        if line.len() == MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let _ = writer.write_all(b"ERR request line too long\n");
+            break;
         }
         let Ok(request) = std::str::from_utf8(&line) else {
             break; // not a text line: the protocol has no answer for it

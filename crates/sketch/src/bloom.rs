@@ -104,7 +104,7 @@ impl BloomFilter {
     }
 
     /// Creates a filter with the same size and hash functions but no bits
-    /// set — the shard-local state used by the sharded ingest engine.
+    /// set — the state of one shard of a partitioned stream.
     /// `O(num_bits / 64)`.
     pub fn clone_empty(&self) -> Self {
         BloomFilter {

@@ -91,8 +91,9 @@ impl MisraGries {
         }
     }
 
-    /// Creates an empty summary with the same capacity — the shard-local
-    /// state used by the sharded ingest engine. `O(1)`.
+    /// Creates an empty summary with the same capacity — the state of one
+    /// shard of a partitioned stream, merged back with
+    /// [`MisraGries::merge`]. `O(1)`.
     pub fn clone_empty(&self) -> Self {
         MisraGries::new(self.capacity)
     }

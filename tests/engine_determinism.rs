@@ -2,7 +2,7 @@
 //! sharded + batched + merged processing of a Zipf stream must answer point
 //! queries *identically* to the same backend fed one arrival at a time.
 
-use opthash_repro::opthash::{AdaptiveOptHash, OptHash, OptHashBuilder, SolverKind};
+use opthash_repro::opthash::{OptHash, OptHashBuilder, SolverKind};
 use opthash_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,8 +123,7 @@ fn ring_boundary_configs_match_sequential() {
                 CountMinSketch::new(256, 4, 7),
                 EngineConfig::with_shards(4)
                     .batch_capacity(batch_capacity)
-                    .queue_capacity(queue_capacity)
-                    .checkpoint_interval(2),
+                    .queue_capacity(queue_capacity),
             );
             engine.ingest_stream(&stream).unwrap();
             for probe in probes(300) {
@@ -161,8 +160,7 @@ fn ring_hammer_under_concurrent_readers_matches_sequential() {
         CountMinSketch::new(256, 4, 7),
         EngineConfig::with_shards(4)
             .batch_capacity(16)
-            .queue_capacity(2)
-            .checkpoint_interval(1),
+            .queue_capacity(2),
     );
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..2)
@@ -247,24 +245,6 @@ fn opt_hash_sharded_equals_sequential() {
         .solver(SolverKind::Dp)
         .train(&prefix);
     assert_engine_matches_sequential(trained, &continuation, 500, "opt-hash");
-}
-
-#[test]
-fn adaptive_opt_hash_sharded_equals_sequential() {
-    // The adaptive estimator is the strictest case: per-bucket distinct
-    // counts and the Bloom filter are only mergeable because the engine
-    // partitions by element ID. Sharded processing is exact up to Bloom
-    // false positives, so the filter is sized generously (2^20 bits for
-    // ~1.6k distinct elements puts the divergence probability below 1e-5,
-    // i.e. zero for these fixed seeds).
-    let prefix_stream = zipf_stream(400, 5_000, 1.1, 47);
-    let continuation = zipf_stream(1_200, 50_000, 1.1, 48);
-    let prefix = StreamPrefix::from_stream(prefix_stream);
-    let trained: AdaptiveOptHash = OptHashBuilder::new(16)
-        .lambda(0.5)
-        .classifier(ClassifierKind::Cart)
-        .train_adaptive(&prefix, 1 << 20);
-    assert_engine_matches_sequential(trained, &continuation, 1_200, "opt-hash-adaptive");
 }
 
 #[test]

@@ -6,11 +6,11 @@
 //! * killing any single shard worker mid-stream yields **bit-identical**
 //!   queries vs the sequential reference for linear backends, with zero
 //!   unaccounted mass and the supervisor restart visible in the
-//!   [`FaultLog`];
+//!   [`FaultLog`] — also when nothing reaps the death before `finish()`;
 //! * a poison-pill batch is quarantined after three attempts, its mass
 //!   stays accounted, and re-applying the quarantined updates reproduces
 //!   the sequential reference exactly;
-//! * a panic inside the checkpoint critical section fences the shard off
+//! * a panic inside the commit critical section fences the shard off
 //!   with the typed [`EngineError::ShardPoisoned`] instead of wrong counts,
 //!   and batches sent to the fenced-off shard are quarantined, not lost;
 //! * under deterministic overload (delayed batch application), a producer
@@ -116,8 +116,9 @@ fn assert_bit_identical(
 // ---------------------------------------------------------------------------
 
 /// Killing any single shard's worker mid-stream must be invisible in the
-/// answers: the supervisor re-forks the shard from its last checkpoint and
-/// replays the journal and surviving queue.
+/// answers: the supervisor requeues the inflight batch, and the re-forked
+/// worker starts from the shard's committed snapshot and drains the
+/// surviving queue.
 #[test]
 fn killing_any_worker_mid_stream_is_bit_identical() {
     quiet_injected_panics();
@@ -126,9 +127,7 @@ fn killing_any_worker_mid_stream_is_bit_identical() {
     for victim in 0..4usize {
         let mut engine = IngestEngine::new(
             CountMinSketch::new(512, 4, 9),
-            EngineConfig::with_shards(4)
-                .batch_capacity(64)
-                .checkpoint_interval(4),
+            EngineConfig::with_shards(4).batch_capacity(64),
         );
         // Die on the victim's 5th event-loop iteration: several batches in,
         // several batches still to come.
@@ -160,8 +159,8 @@ fn killing_any_worker_mid_stream_is_bit_identical() {
 }
 
 /// A death in the window *between* applying a batch and committing it must
-/// not double-apply: the replacement's rebuilt state excludes the batch and
-/// the supervisor requeues it — exactly-once either way.
+/// not double-apply: the committed snapshot excludes the batch and the
+/// supervisor requeues it — exactly-once either way.
 #[test]
 fn death_between_apply_and_commit_applies_exactly_once() {
     quiet_injected_panics();
@@ -184,6 +183,43 @@ fn death_between_apply_and_commit_applies_exactly_once() {
     let stats = engine.stats();
     assert_eq!(stats.unaccounted_mass(), 0);
     assert_bit_identical(&mut engine, &reference, 1_000, "pre-commit death");
+}
+
+/// A worker that dies while nothing waits on its shard is never reaped
+/// before `finish()`. The queues are deep enough that no dispatch blocks,
+/// so nothing supervises during ingest; `finish()` must supervise while it
+/// waits for the shard to drain, so the re-forked worker applies the
+/// inflight batch and the rest of the queue.
+#[test]
+fn finish_after_an_unreaped_worker_death_is_bit_identical() {
+    quiet_injected_panics();
+    let ids = mixed_arrivals(30_000, 1_500, 23);
+    let reference = sequential_reference(&ids);
+    let mut engine = IngestEngine::new(
+        CountMinSketch::new(512, 4, 9),
+        EngineConfig::with_shards(3)
+            .batch_capacity(64)
+            .queue_capacity(4_096),
+    );
+    engine
+        .fault_injector()
+        .program("worker::before_commit@1", FaultPlan::panic().on_hit(2));
+    for &id in &ids {
+        engine.ingest(&element(id)).unwrap();
+    }
+    assert_eq!(
+        engine.fault_log().worker_restarts(),
+        0,
+        "no dispatch blocked, so nothing has supervised yet"
+    );
+    let finished = engine.finish().expect("finish must recover the death");
+    for id in 0..1_520u64 {
+        assert_eq!(
+            SketchBackend::query(&finished, &element(id)),
+            SketchBackend::query(&reference, &element(id)),
+            "finished sketch diverged from sequential reference at id {id}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +282,7 @@ fn poison_pill_batch_is_quarantined_and_reapplyable() {
 // Shard poisoning
 // ---------------------------------------------------------------------------
 
-/// A panic inside the checkpoint critical section may leave the snapshot
+/// A panic inside the commit critical section may leave the snapshot
 /// half-written: the shard must be fenced off and queries must fail with
 /// the typed error instead of answering from corrupt state.
 #[test]
@@ -259,8 +295,13 @@ fn checkpoint_panic_poisons_the_shard() {
     engine
         .fault_injector()
         .program("worker::checkpoint@0", FaultPlan::panic().on_hit(1));
+    // Shard 0's first commit poisons it, so once its queue fills, ingest
+    // reports the fenced-off shard for every batch routed there.
     for &id in &arrivals(5_000, 400, 5) {
-        engine.ingest(&element(id)).unwrap();
+        match engine.ingest(&element(id)) {
+            Ok(()) | Err(EngineError::ShardPoisoned { shard: 0 }) => {}
+            Err(other) => panic!("unexpected error: {other}"),
+        }
     }
     let err = engine
         .flush()
@@ -399,10 +440,10 @@ fn blocking_loses_nothing_under_overload() {
 
 /// A panic during a swap publish (`worker::swap`) kills the victim worker
 /// with the swap request still pending — nothing was mutated yet — so the
-/// supervisor's replacement worker rebuilds the pre-swap scratch and redoes
-/// the swap exactly once. The retired backend still equals the sequential
-/// pre-swap replay, the engine continues bit-identically on the new base,
-/// and not one unit of mass goes unaccounted.
+/// supervisor's replacement worker starts from the pre-swap snapshot and
+/// redoes the swap exactly once. The retired backend still equals the
+/// sequential pre-swap replay, the engine continues bit-identically on the
+/// new base, and not one unit of mass goes unaccounted.
 #[test]
 fn swap_publish_panic_recovers_and_redoes_the_swap() {
     quiet_injected_panics();
@@ -414,9 +455,7 @@ fn swap_publish_panic_recovers_and_redoes_the_swap() {
         let base = CountMinSketch::new(512, 4, 9);
         let mut engine = IngestEngine::new(
             base.clone(),
-            EngineConfig::with_shards(3)
-                .batch_capacity(64)
-                .checkpoint_interval(4),
+            EngineConfig::with_shards(3).batch_capacity(64),
         );
         engine.fault_injector().program(
             &format!("worker::swap@{victim}"),

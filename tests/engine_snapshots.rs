@@ -245,7 +245,7 @@ mod failpoints {
         let after = engine.snapshot_stamp();
         assert!(
             after.epoch_per_shard[0] > before.epoch_per_shard[0],
-            "the post-flush checkpoint must publish a newer epoch"
+            "the post-flush commit must publish a newer epoch"
         );
         assert_eq!(after.mass_accounted, 9);
         // And the two read paths agree again.
@@ -256,10 +256,10 @@ mod failpoints {
 
     /// `flush()` and `swap_backend()` return only once the wait-free path
     /// reflects them. A delay right before every slot publication holds
-    /// each worker between updating its recovery state and publishing it:
-    /// a worker that acknowledged the barrier (or the swap) first would let
-    /// the engine return while readers still saw the previous snapshot —
-    /// after a swap, a torn mix of the new base and an old-scheme delta.
+    /// each worker between committing its snapshot and publishing it: a
+    /// worker that marked the batch (or the swap) done first would let the
+    /// engine return while readers still saw the previous snapshot — after
+    /// a swap, a torn mix of the new base and an old-scheme delta.
     #[test]
     fn flush_and_swap_return_only_after_their_publication() {
         let mut engine =

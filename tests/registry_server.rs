@@ -261,6 +261,35 @@ fn request_split_across_a_read_timeout_is_reassembled() {
     server.shutdown();
 }
 
+/// A request line that never ends must not grow the server's memory: the
+/// server reads at most 64 KiB of one line, refuses it without echoing it,
+/// and closes the connection. Other clients are unaffected.
+#[test]
+fn an_overlong_request_line_is_refused_and_closes_the_connection() {
+    let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
+    let mut client = Client::connect(server.local_addr());
+    // The server stops reading at its limit, so the rest of the 1 MiB may
+    // not fit in the socket buffers; write it from another thread.
+    let mut stream = client.stream.try_clone().expect("clone stream");
+    let writer = std::thread::spawn(move || {
+        let _ = stream.write_all(&vec![b'a'; 1 << 20]);
+    });
+    assert_eq!(client.response(), "ERR request line too long");
+    // Closed: end of stream, or a reset for the bytes the server never read.
+    let mut rest = Vec::new();
+    match client.reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing follows the refusal"),
+        Err(err) => assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::ConnectionReset,
+            "the server must close the connection, got {err}"
+        ),
+    }
+    writer.join().expect("writer thread");
+    assert_eq!(Client::connect(server.local_addr()).send("PING"), "OK pong");
+    server.shutdown();
+}
+
 #[test]
 fn blank_line_after_a_request_still_flushes_its_answer() {
     let server = SketchServer::bind("127.0.0.1:0", SketchRegistry::unbounded()).expect("bind");
