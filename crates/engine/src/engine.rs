@@ -3,7 +3,7 @@
 use crate::backend::SketchBackend;
 use crate::error::EngineError;
 use crate::fault::{self, FaultEvent, FaultInjector, FaultLog, SharedFaultLog};
-use crate::queue::{BatchData, ShardChannel, ShardCounters};
+use crate::queue::{BatchData, ControlInner, ShardChannel, ShardCounters};
 use crate::snapshot::{
     BaseSlot, EpochStamp, PublishedSlot, SnapshotEstimate, SnapshotHub, SnapshotReader,
 };
@@ -252,6 +252,7 @@ impl BatchBuffer {
     /// Issued from [`IngestEngine::ingest_batch`]'s lookahead so that cold
     /// slots are already in cache when the probe reaches them.
     #[inline]
+    #[allow(unsafe_code)]
     fn prefetch(&self, hash: u64) {
         let idx = hash as usize & (self.entries.len() - 1);
         #[cfg(target_arch = "x86_64")]
@@ -302,8 +303,9 @@ impl BatchBuffer {
 /// studies). Full batches are fed through a bounded queue to the shard's
 /// **persistent worker thread**, so application overlaps ingestion and all
 /// cores stay busy between flushes. When a shard's queue is full the
-/// ingesting thread blocks until the worker drains it. An idle worker parks
-/// on its queue and costs no CPU beyond a timed backstop wake-up.
+/// ingesting thread blocks until the worker drains it. An idle worker
+/// sleeps on its queue's condvar until a batch, a swap or shutdown wakes
+/// it, so it costs no CPU.
 ///
 /// # Two read paths
 ///
@@ -472,15 +474,11 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// A consistent snapshot of the engine's counters.
     pub fn stats(&self) -> EngineStats {
         let mut counters = ShardCounters::default();
-        let mut queued_mass = 0u64;
         for handle in &self.handles {
-            let inner = handle.cell.lock_always();
-            counters.absorb(&inner.counters);
-            // Read under the control lock: the worker only debits queued
-            // mass while holding it, and the engine (the only thread
-            // crediting) is the caller — so the ledger identity holds at
-            // this instant.
-            queued_mass += handle.cell.queued_mass();
+            // Each shard's counters move only under its control lock, and
+            // the engine (the only thread crediting queued mass) is the
+            // caller, so the ledger identity holds at this instant.
+            counters.absorb(&handle.cell.lock_always().counters);
         }
         let mut stats = EngineStats {
             elements: self.elements,
@@ -489,7 +487,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             flushes: self.flushes,
             applied_updates: counters.applied_updates,
             applied_mass: counters.applied_mass,
-            queued_mass,
+            queued_mass: counters.queued_mass,
             quarantined_updates: counters.quarantined_updates,
             quarantined_mass: counters.quarantined_mass,
             batch_failures: counters.batch_failures,
@@ -654,32 +652,17 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// one overload behaviour — supervising between waits, so a dead
     /// worker is re-forked rather than waited on.
     ///
-    /// A poisoned shard's worker never drains again. A batch its full
-    /// queue cannot take goes to the shard's quarantine, so its mass stays
-    /// accounted and [`IngestEngine::quarantined`] can hand it back.
+    /// A poisoned shard's worker never drains again. A batch sent to it
+    /// goes to the shard's quarantine, so its mass stays accounted and
+    /// [`IngestEngine::quarantined`] can hand it back.
     fn dispatch(&mut self, shard: usize) -> Result<(), EngineError> {
         let data = Arc::new(self.buffers[shard].drain_to_batch());
         let cell = Arc::clone(&self.handles[shard].cell);
-        loop {
-            if cell.try_push(Arc::clone(&data)) {
-                return Ok(());
-            }
+        while !cell.try_push(&data, &self.fault_log, shard)? {
             self.supervise();
-            let (_, poisoned) = cell.wait_space(SUPERVISE_TICK);
-            if poisoned {
-                let (mass, updates) = (data.mass, data.updates.len());
-                cell.lock_always().quarantine(data);
-                fault::record(
-                    &self.fault_log,
-                    FaultEvent::BatchQuarantined {
-                        shard,
-                        mass,
-                        updates,
-                    },
-                );
-                return Err(EngineError::ShardPoisoned { shard });
-            }
+            cell.wait(SUPERVISE_TICK, ControlInner::has_room);
         }
+        Ok(())
     }
 
     /// Detects dead shard workers and re-forks replacements.
@@ -783,22 +766,19 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
 
     /// Flush barrier: waits for every shard to drain.
     fn barrier(&mut self) -> Result<(), EngineError> {
-        self.wait_all(|cell| cell.wait_drained(SUPERVISE_TICK))
+        self.wait_all(ControlInner::is_drained)
     }
 
-    /// Waits shard by shard until `wait` — one timed wait on a shard,
-    /// returning `(done, poisoned)` — reports the shard done, supervising
-    /// between waits so a dead worker is re-forked to finish the work.
-    /// Keeps going past a poisoned shard and returns the first error.
-    fn wait_all(
-        &mut self,
-        wait: impl Fn(&ShardChannel<B>) -> (bool, bool),
-    ) -> Result<(), EngineError> {
+    /// Waits shard by shard until `done` holds for the shard's control
+    /// state, supervising between timed waits so a dead worker is re-forked
+    /// to finish the work. Keeps going past a poisoned shard and returns
+    /// the first error.
+    fn wait_all(&mut self, done: impl Fn(&ControlInner<B>) -> bool) -> Result<(), EngineError> {
         let mut first_err = None;
         for shard in 0..self.handles.len() {
             let cell = Arc::clone(&self.handles[shard].cell);
             loop {
-                let (done, poisoned) = wait(&cell);
+                let (finished, poisoned) = cell.wait(SUPERVISE_TICK, &done);
                 if poisoned {
                     // Reap the dead worker and log the poisoning, then move
                     // on: the remaining shards are still waited for.
@@ -806,7 +786,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
                     first_err.get_or_insert(EngineError::ShardPoisoned { shard });
                     break;
                 }
-                if done {
+                if finished {
                     break;
                 }
                 self.supervise();
@@ -858,7 +838,7 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         for handle in &self.handles {
             handle.cell.request_swap(version, Arc::clone(&shared));
         }
-        if let Err(err) = self.wait_all(|cell| cell.wait_swap(SUPERVISE_TICK)) {
+        if let Err(err) = self.wait_all(|inner| inner.swap_request.is_none()) {
             first_err.get_or_insert(err);
         }
         let mut retired = std::mem::replace(&mut self.base, fresh);

@@ -27,8 +27,8 @@ pub enum EngineError {
     /// (a panic struck while the shard's snapshot was being replaced, so
     /// the committed snapshot may be half-written). Queries and
     /// flushes fail with this error instead of returning wrong counts. An
-    /// ingest call fails with it when the shard's full queue cannot take a
-    /// batch; that batch is quarantined, so its mass stays accounted.
+    /// ingest call fails with it when it dispatches a batch to the shard;
+    /// that batch is quarantined, so its mass stays accounted.
     ShardPoisoned {
         /// The unrecoverable shard.
         shard: usize,

@@ -333,8 +333,8 @@ pub enum FaultEvent {
     },
     /// A batch was quarantined — set aside, fully accounted, retrievable
     /// via [`crate::IngestEngine::quarantined`] — because it exhausted its
-    /// application attempts, or because its shard was poisoned and its
-    /// full queue could not take it.
+    /// application attempts, or because it was dispatched to a poisoned
+    /// shard.
     BatchQuarantined {
         /// Shard that quarantined the batch.
         shard: usize,

@@ -42,8 +42,8 @@
 //! * **Panic isolation** — a panic inside batch application is confined to
 //!   the worker's copy of the snapshot, which is dropped; the batch is
 //!   retried and, after three attempts, quarantined as a poison pill
-//!   ([`IngestEngine::quarantined`] exposes its updates). A batch that a
-//!   poisoned shard's full queue cannot take is quarantined the same way.
+//!   ([`IngestEngine::quarantined`] exposes its updates). A batch sent to
+//!   a poisoned shard is quarantined the same way.
 //! * **Supervision** — a worker death is detected by the engine, which
 //!   requeues the inflight batch, re-forks a worker that resumes from the
 //!   shard's committed snapshot and surviving queue, and records a
@@ -142,6 +142,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
 pub mod backend;
 pub mod engine;

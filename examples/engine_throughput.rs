@@ -43,7 +43,7 @@ const SATURATION_P99_CEILING: Duration = Duration::from_millis(50);
 /// resident in the shard batch buffers after the first pass and nothing
 /// would ever dispatch — the workers (and their epoch publications) would
 /// sit idle. A buffer smaller than the per-shard distinct-id count keeps
-/// batches flowing to the rings for the whole window.
+/// batches flowing to the shard queues for the whole window.
 const SATURATION_BATCH: usize = 2_048;
 
 /// Workload knobs, overridable from the command line.

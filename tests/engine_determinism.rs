@@ -106,10 +106,10 @@ fn ingest_batch_accepts_short_slices() {
     }
 }
 
-/// The SPSC ring swap must not disturb the PR 2 invariant at the queue's
-/// hardest boundaries: depth-1/2/3 rings (physical sizes 1/2/4 after
-/// power-of-two rounding) with single-element batches wrap the ring indices
-/// constantly and collide full-against-empty on every dispatch.
+/// Sharded equals sequential at the shard queue's hardest boundaries:
+/// depth-1/2/3 queues with batches of 1, 2 and 7 distinct elements, so the
+/// producer meets a full queue and the worker an empty one on nearly every
+/// dispatch.
 #[test]
 fn ring_boundary_configs_match_sequential() {
     let stream = zipf_stream(300, 8_000, 1.1, 50);
@@ -141,11 +141,11 @@ fn ring_boundary_configs_match_sequential() {
     }
 }
 
-/// Cross-thread hammer: tiny rings saturate while snapshot readers pound
-/// the published state from other threads. The readers assert epoch
-/// monotonicity per shard; the main thread then asserts the engine still
-/// answers bit-identically to the sequential replay — concurrency must not
-/// perturb a linear backend's results.
+/// Cross-thread hammer: depth-2 shard queues saturate while snapshot
+/// readers pound the published state from other threads. The readers
+/// assert epoch monotonicity per shard; the main thread then asserts the
+/// engine still answers bit-identically to the sequential replay —
+/// concurrency must not perturb a linear backend's results.
 #[test]
 fn ring_hammer_under_concurrent_readers_matches_sequential() {
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -327,9 +327,10 @@ fn checkpoint_panic_poisons_the_shard() {
     );
 }
 
-/// A poisoned shard's worker never drains its queue again. Once that queue
-/// is full, every batch dispatched to the shard must go to its quarantine
-/// — retrievable and fully accounted — instead of being dropped.
+/// A poisoned shard's worker never drains its queue again, so every batch
+/// dispatched to the shard must go to its quarantine — retrievable and
+/// fully accounted — whether or not its queue has room, instead of being
+/// dropped or parked in a queue nobody drains.
 #[test]
 fn batches_sent_to_a_poisoned_shard_are_quarantined() {
     quiet_injected_panics();
@@ -359,7 +360,7 @@ fn batches_sent_to_a_poisoned_shard_are_quarantined() {
             Err(other) => panic!("unexpected error: {other}"),
         }
     }
-    assert!(errors > 0, "the dead shard's queue must fill up");
+    assert!(errors > 0, "dispatches to the dead shard must fail");
     let stats = engine.stats();
     assert_eq!(
         stats.unaccounted_mass(),
@@ -368,6 +369,8 @@ fn batches_sent_to_a_poisoned_shard_are_quarantined() {
     );
     assert_eq!(stats.ingested_mass(), 2_010, "every arrival is admitted");
     assert!(stats.quarantined_mass > 0);
+    assert_eq!(stats.queued_mass, 0, "nothing waits in the dead queue");
+    assert_eq!(stats.quarantined_mass + stats.buffered_mass, 2_000);
     assert_eq!(
         engine.quarantined().iter().map(|(_, c)| c).sum::<u64>(),
         stats.quarantined_mass
