@@ -19,10 +19,9 @@ use crate::estimator::OptHash;
 use crate::stats::EstimatorStats;
 use opthash_sketch::BloomFilter;
 use opthash_stream::{ElementId, FrequencyEstimator, SpaceReport, StreamElement, StreamPrefix};
-use serde::{Deserialize, Serialize};
 
 /// `opt-hash` with the Bloom-filter adaptive counting extension.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveOptHash {
     /// The underlying learned scheme (hash table + classifier + counters for
     /// prefix elements).

@@ -5,10 +5,9 @@ use crate::estimator::OptHash;
 use opthash_ml::ClassifierKind;
 use opthash_solver::{BcdConfig, ExactConfig};
 use opthash_stream::{SpaceBudget, Stream, StreamPrefix};
-use serde::{Deserialize, Serialize};
 
 /// Which optimization algorithm learns the hashing scheme (Section 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolverKind {
     /// Block coordinate descent (Algorithm 1) — the default and the paper's
     /// choice for medium and large instances.
@@ -42,7 +41,7 @@ impl SolverKind {
 }
 
 /// Full configuration of the `opt-hash` estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptHashConfig {
     /// Number of buckets `b` of the learned hashing scheme.
     pub buckets: usize,

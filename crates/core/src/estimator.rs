@@ -7,7 +7,6 @@ use opthash_solver::{kmedian, BcdSolver, ExactSolver, HashingProblem, HashingSol
 use opthash_stream::{
     ElementId, Features, FrequencyEstimator, SpaceReport, StreamElement, StreamPrefix,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,7 +20,7 @@ use std::time::Instant;
 /// Only the `b` bucket counters `φ_j` change after training. The learned
 /// part (hash table, classifier, solved assignment) sits behind one `Arc`,
 /// so a clone or a fork copies just the counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OptHash {
     /// The read-only learned scheme, shared by every clone and fork.
     scheme: Arc<Scheme>,

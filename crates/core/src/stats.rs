@@ -1,12 +1,11 @@
 //! Training-time statistics reported by the estimators.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Summary of how an `opt-hash` estimator was trained — the quantities the
 /// paper's synthetic experiments report (objective terms, timings) plus a few
 /// sanity metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorStats {
     /// Name of the configured solver (`bcd`, `dp`, `milp`). A
     /// frequency-only prefix with no more distinct counts than buckets is

@@ -17,10 +17,9 @@ use crate::zipf::ZipfSampler;
 use opthash_stream::{Stream, StreamElement};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`DriftingWorkload`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Element universe size.
     pub universe: usize,
@@ -46,16 +45,6 @@ impl Default for DriftConfig {
             epochs: 4,
             rotation: 2_500,
             seed: 42,
-        }
-    }
-}
-
-impl DriftConfig {
-    /// The default workload at a given drift rate.
-    pub fn with_rotation(rotation: usize) -> Self {
-        DriftConfig {
-            rotation,
-            ..DriftConfig::default()
         }
     }
 }

@@ -13,10 +13,9 @@
 use opthash_stream::{ElementId, Features, Stream, StreamElement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the group-based generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupConfig {
     /// Number of groups `G`; group `g ∈ [1, G]` has `2^{G0+g}` elements.
     pub num_groups: usize,
@@ -69,7 +68,7 @@ impl GroupConfig {
 }
 
 /// One element of the synthetic universe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupElement {
     /// Unique ID.
     pub id: ElementId,
@@ -82,7 +81,7 @@ pub struct GroupElement {
 }
 
 /// A fully materialized synthetic universe plus its sampling distributions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupDataset {
     config: GroupConfig,
     elements: Vec<GroupElement>,

@@ -12,8 +12,6 @@
 //!   rank–frequency law calibrated to the frequencies the paper quotes,
 //!   navigational-query text structure, and day-to-day persistence of the
 //!   popular queries.
-//! * [`trace`] — a loader for real query-log traces in the AOL TSV format,
-//!   so users who have the original dataset can run every experiment on it.
 //! * [`tenants`] — mixed multi-tenant serving workloads that combine the
 //!   generators above and skew traffic across tenants, for exercising the
 //!   registry's memory-budget governor.
@@ -44,12 +42,10 @@ pub mod drift;
 pub mod groups;
 pub mod querylog;
 pub mod tenants;
-pub mod trace;
 pub mod zipf;
 
 pub use drift::{DriftConfig, DriftingWorkload};
 pub use groups::{GroupConfig, GroupDataset};
 pub use querylog::{QueryLogConfig, QueryLogDataset};
 pub use tenants::{MixedTenantConfig, MixedTenantWorkload, TenantArrival, TenantClass};
-pub use trace::{QueryTrace, TraceRecord};
 pub use zipf::ZipfSampler;

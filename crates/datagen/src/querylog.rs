@@ -21,10 +21,9 @@ use crate::zipf::ZipfSampler;
 use opthash_stream::{ElementId, FrequencyVector, Stream, StreamElement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic query-log generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryLogConfig {
     /// Number of unique queries in the universe.
     pub num_queries: usize,
@@ -141,7 +140,7 @@ const TAIL_WORDS: &[&str] = &[
 ];
 
 /// A fully materialized synthetic query log.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QueryLogDataset {
     config: QueryLogConfig,
     /// Query text per ID; the ID equals the query's popularity rank − 1.

@@ -7,10 +7,9 @@
 //! arrival streams the experiments replay.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A sampler over ranks `0..n` with `P(rank = r) ∝ 1/(r+1)^s`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cumulative: Vec<f64>,
     exponent: f64,

@@ -176,16 +176,6 @@ impl Retrainer {
         self.engine.stats()
     }
 
-    /// Distinct elements currently in the sliding window.
-    pub fn window_distinct(&self) -> usize {
-        self.window_counts.len()
-    }
-
-    /// Arrivals currently in the sliding window (≤ the configured length).
-    pub fn window_len(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Retired backends from completed swaps (each holds every count it
     /// accumulated while live), oldest first.
     pub fn take_retired(&mut self) -> Vec<OptHash> {
@@ -472,9 +462,9 @@ mod tests {
                 .ingest(&StreamElement::without_features(i))
                 .unwrap();
         }
-        assert_eq!(retrainer.window_len(), 8);
+        assert_eq!(retrainer.ring.len(), 8);
         // Only the last 8 distinct IDs survive.
-        assert_eq!(retrainer.window_distinct(), 8);
+        assert_eq!(retrainer.window_counts.len(), 8);
         assert!(retrainer.window_counts.contains_key(&ElementId(31)));
         assert!(!retrainer.window_counts.contains_key(&ElementId(0)));
         retrainer.finish().unwrap();

@@ -27,10 +27,9 @@
 
 use crate::classifier::Classifier;
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of [`DecisionTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CartConfig {
     /// Maximum tree depth (root has depth 0).
     pub max_depth: usize,
@@ -59,7 +58,7 @@ impl Default for CartConfig {
 }
 
 /// One node of the tree, stored in a flat arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         class: usize,
@@ -75,7 +74,7 @@ enum Node {
 }
 
 /// A trained CART decision tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     num_classes: usize,

@@ -4,7 +4,6 @@ use crate::cart::{CartConfig, DecisionTree};
 use crate::dataset::Dataset;
 use crate::forest::{ForestConfig, RandomForest};
 use crate::logreg::{LogRegConfig, LogisticRegression};
-use serde::{Deserialize, Serialize};
 
 /// A trained multi-class classifier mapping dense feature rows to class
 /// labels (buckets).
@@ -36,7 +35,7 @@ pub trait Classifier {
 }
 
 /// Which model family to train — the axis Experiment 5 of the paper varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ClassifierKind {
     /// Multinomial logistic regression (`logreg`).
     LogisticRegression,
@@ -94,7 +93,7 @@ impl std::fmt::Display for ClassifierKind {
 
 /// A trained classifier of any supported family, usable behind one type so
 /// the `opt-hash` estimator does not need generics over the model family.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum TrainedClassifier {
     /// A trained multinomial logistic regression.
     LogReg(LogisticRegression),

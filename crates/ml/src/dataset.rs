@@ -4,7 +4,6 @@ use opthash_stream::Features;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A supervised multi-class dataset: one dense feature row and one integer
 /// label per example.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// In the `opt-hash` pipeline the rows are element features and the labels
 /// are the buckets the solver assigned them to, so `num_classes` equals the
 /// number of buckets `b`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     rows: Vec<Vec<f64>>,
     labels: Vec<usize>,
@@ -165,32 +164,6 @@ impl Dataset {
         (self.subset(train_idx), self.subset(test_idx))
     }
 
-    /// Produces `k` cross-validation folds as `(train, validation)` pairs.
-    pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
-        assert!(k >= 2, "need at least two folds");
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        indices.shuffle(&mut rng);
-        let k = k.min(self.len().max(2));
-        let fold_size = self.len().div_ceil(k);
-        let mut folds = Vec::with_capacity(k);
-        for f in 0..k {
-            let start = f * fold_size;
-            if start >= self.len() {
-                break;
-            }
-            let end = ((f + 1) * fold_size).min(self.len());
-            let val_idx: Vec<usize> = indices[start..end].to_vec();
-            let train_idx: Vec<usize> = indices[..start]
-                .iter()
-                .chain(&indices[end..])
-                .copied()
-                .collect();
-            folds.push((self.subset(&train_idx), self.subset(&val_idx)));
-        }
-        folds
-    }
-
     /// Per-class example counts.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
@@ -283,17 +256,6 @@ mod tests {
         let (train, test) = d.train_test_split(0.4, 3);
         assert_eq!(train.len() + test.len(), d.len());
         assert_eq!(test.len(), 2);
-    }
-
-    #[test]
-    fn k_folds_cover_all_examples_exactly_once_as_validation() {
-        let d = toy();
-        let folds = d.k_folds(5, 1);
-        let total_val: usize = folds.iter().map(|(_, v)| v.len()).sum();
-        assert_eq!(total_val, d.len());
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), d.len());
-        }
     }
 
     #[test]

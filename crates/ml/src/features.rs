@@ -14,11 +14,10 @@
 //! feature importances in the paper's terms.
 
 use opthash_stream::Features;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The four character-count features the paper appends to the bag-of-words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryFeatures {
     /// Number of ASCII characters in the query text.
     pub ascii_chars: usize,
@@ -84,7 +83,7 @@ pub fn tokenize(query: &str) -> Vec<String> {
 }
 
 /// Bag-of-words + character-count featurizer for query strings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextFeaturizer {
     /// Vocabulary words in frequency order; index in this list = feature
     /// index.

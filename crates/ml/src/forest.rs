@@ -16,10 +16,9 @@ use crate::classifier::Classifier;
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of [`RandomForest`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees in the ensemble.
     pub num_trees: usize,
@@ -46,7 +45,7 @@ impl Default for ForestConfig {
 }
 
 /// A trained random forest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     num_classes: usize,

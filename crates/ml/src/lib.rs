@@ -24,8 +24,6 @@
 //!
 //! * [`dataset`] — the dense `(features, label)` training-set representation
 //!   plus splitting utilities,
-//! * [`tuning`] — k-fold cross-validation and grid search over each model's
-//!   hyper-parameters, mirroring the 10-fold tuning of the paper,
 //! * [`features`] — the bag-of-words + character-count text featurizer used
 //!   for search-query experiments (Section 7.3).
 //!
@@ -52,7 +50,6 @@ pub mod features;
 pub mod forest;
 pub mod logreg;
 pub mod metrics;
-pub mod tuning;
 
 pub use cart::{CartConfig, DecisionTree};
 pub use classifier::{Classifier, ClassifierKind, TrainedClassifier};
@@ -61,4 +58,3 @@ pub use features::{QueryFeatures, TextFeaturizer};
 pub use forest::{ForestConfig, RandomForest};
 pub use logreg::{LogRegConfig, LogisticRegression};
 pub use metrics::ConfusionMatrix;
-pub use tuning::{cross_validate, tune, CvResult};

@@ -9,10 +9,9 @@
 
 use crate::classifier::Classifier;
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of [`LogisticRegression`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogRegConfig {
     /// Weight of the ridge (L2) penalty.
     pub l2: f64,
@@ -33,7 +32,7 @@ impl Default for LogRegConfig {
 }
 
 /// A trained multinomial logistic regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     /// `num_classes × num_features` weight matrix (row-major).
     weights: Vec<f64>,

@@ -1,20 +1,19 @@
 //! Classification evaluation metrics.
 //!
 //! The bucket classifier's quality directly controls how well unseen
-//! elements are estimated (Section 5.2), so the experiments report more than
-//! raw accuracy: a confusion matrix over buckets, per-class precision and
-//! recall, and the macro-averaged F1 score. These utilities are shared by the
-//! tuning module and the benchmark harness.
+//! elements are estimated (Section 5.2). [`ConfusionMatrix`] breaks a
+//! model's accuracy down by bucket: per-class precision and recall, and the
+//! macro-averaged F1 score. Nothing in the workspace calls it yet; the
+//! estimator records only the classifier's training accuracy.
 
 use crate::classifier::Classifier;
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// A confusion matrix over `num_classes` classes.
 ///
 /// Entry `(true_class, predicted_class)` counts the examples of
 /// `true_class` that the model predicted as `predicted_class`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     counts: Vec<Vec<usize>>,
     num_classes: usize,

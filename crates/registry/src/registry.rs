@@ -29,7 +29,10 @@ impl fmt::Display for TenantId {
 /// * `count-sketch:512x5` — Count Sketch grid, `width x depth`;
 /// * `misra-gries:256` — Misra–Gries summary with 256 counters.
 ///
-/// A bare kind (`count-min`) uses the defaults below.
+/// A bare kind (`count-min`) uses the defaults below. A grid of more than
+/// [`BackendSpec::MAX_COUNTERS`] counters (`width × depth`), or a larger
+/// Misra–Gries capacity, is refused, so one spec cannot ask for more
+/// memory than the process can allocate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSpec {
     /// Count-Min Sketch (`width × depth` counters, standard updates).
@@ -58,6 +61,9 @@ impl BackendSpec {
     pub const DEFAULT_GRID: (usize, usize) = (1024, 4);
     /// Default Misra–Gries capacity used by a bare `misra-gries` spec.
     pub const DEFAULT_CAPACITY: usize = 256;
+    /// Most counters one spec may ask for: the grid's `width × depth`, or
+    /// the Misra–Gries capacity.
+    pub const MAX_COUNTERS: usize = 1 << 20;
 
     /// Parses the textual spec grammar documented on the type.
     pub fn parse(spec: &str) -> Result<Self, RegistryError> {
@@ -81,7 +87,10 @@ impl BackendSpec {
             if width == 0 || depth == 0 {
                 return Err(invalid("width and depth must be positive"));
             }
-            Ok((width, depth))
+            match width.checked_mul(depth) {
+                Some(cells) if cells <= Self::MAX_COUNTERS => Ok((width, depth)),
+                _ => Err(invalid("grid holds more than MAX_COUNTERS counters")),
+            }
         };
         match kind {
             "count-min" => {
@@ -101,6 +110,9 @@ impl BackendSpec {
                             .map_err(|_| invalid("capacity must be an integer"))?;
                         if capacity == 0 {
                             return Err(invalid("capacity must be positive"));
+                        }
+                        if capacity > Self::MAX_COUNTERS {
+                            return Err(invalid("capacity exceeds MAX_COUNTERS"));
                         }
                         capacity
                     }
@@ -845,6 +857,24 @@ mod tests {
                 depth: BackendSpec::DEFAULT_GRID.1
             }
         );
+        // A spec of exactly MAX_COUNTERS counters parses (not built here).
+        let max = BackendSpec::MAX_COUNTERS;
+        assert_eq!(
+            BackendSpec::parse(&format!("count-min:{}x4", max / 4)).unwrap(),
+            BackendSpec::CountMin {
+                width: max / 4,
+                depth: 4
+            }
+        );
+        assert_eq!(
+            BackendSpec::parse(&format!("misra-gries:{max}")).unwrap(),
+            BackendSpec::MisraGries { capacity: max }
+        );
+        let oversized = [
+            format!("count-min:{}x1", max + 1),
+            format!("count-sketch:1x{}", max + 1),
+            format!("misra-gries:{}", max + 1),
+        ];
         for bad in [
             "bloom:64",
             "count-min:0x4",
@@ -852,7 +882,16 @@ mod tests {
             "count-min:ax4",
             "misra-gries:0",
             "misra-gries:many",
-        ] {
+            // Too large to allocate.
+            "count-min:1000000000000x1",
+            "misra-gries:1000000000000000",
+            // width × depth wraps to 0.
+            "count-min:9223372036854775808x2",
+            "count-sketch:9223372036854775808x2",
+        ]
+        .into_iter()
+        .chain(oversized.iter().map(String::as_str))
+        {
             assert!(
                 matches!(
                     BackendSpec::parse(bad),

@@ -60,15 +60,7 @@ impl SketchServer {
     ///
     /// Propagates the bind failure, e.g. a port already in use.
     pub fn bind(addr: impl ToSocketAddrs, registry: SketchRegistry) -> std::io::Result<Self> {
-        Self::bind_shared(addr, Arc::new(Mutex::new(registry)))
-    }
-
-    /// Like [`SketchServer::bind`], but serves a registry the caller keeps
-    /// a handle to.
-    pub fn bind_shared(
-        addr: impl ToSocketAddrs,
-        registry: Arc<Mutex<SketchRegistry>>,
-    ) -> std::io::Result<Self> {
+        let registry = Arc::new(Mutex::new(registry));
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;

@@ -10,10 +10,9 @@
 
 use crate::hashing::HashFamily;
 use opthash_stream::{ElementId, SpaceReport};
-use serde::{Deserialize, Serialize};
 
 /// A Bloom filter over element IDs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     num_bits: usize,

@@ -12,10 +12,9 @@
 
 use crate::hashing::HashFamily;
 use opthash_stream::{ElementId, FrequencyEstimator, SpaceReport, StreamElement};
-use serde::{Deserialize, Serialize};
 
 /// How counter updates are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdatePolicy {
     /// Increment every level's counter (the textbook Count-Min update).
     #[default]
@@ -26,7 +25,7 @@ pub enum UpdatePolicy {
 }
 
 /// The Count-Min Sketch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountMinSketch {
     width: usize,
     depth: usize,
@@ -49,12 +48,13 @@ impl CountMinSketch {
     pub fn with_policy(width: usize, depth: usize, seed: u64, policy: UpdatePolicy) -> Self {
         assert!(width > 0, "width must be positive");
         assert!(depth > 0, "depth must be positive");
+        let cells = width.checked_mul(depth).expect("grid size overflows usize");
         CountMinSketch {
             width,
             depth,
             policy,
             hashes: HashFamily::new(depth, width, seed),
-            counters: vec![0; width * depth],
+            counters: vec![0; cells],
             total_updates: 0,
         }
     }

@@ -12,10 +12,9 @@ use crate::hashing::{PairwiseHash, SignHash};
 use opthash_stream::{ElementId, FrequencyEstimator, SpaceReport, StreamElement};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The Count Sketch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountSketch {
     width: usize,
     depth: usize,
@@ -32,6 +31,7 @@ impl CountSketch {
     pub fn new(width: usize, depth: usize, seed: u64) -> Self {
         assert!(width > 0, "width must be positive");
         assert!(depth > 0, "depth must be positive");
+        let cells = width.checked_mul(depth).expect("grid size overflows usize");
         let mut rng = StdRng::seed_from_u64(seed);
         let bucket_hashes = (0..depth)
             .map(|_| PairwiseHash::draw(width, &mut rng))
@@ -42,7 +42,7 @@ impl CountSketch {
             depth,
             bucket_hashes,
             sign_hashes,
-            counters: vec![0; width * depth],
+            counters: vec![0; cells],
             total_updates: 0,
         }
     }

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The Mersenne prime 2^61 − 1 used as the hash field modulus.
 pub const MERSENNE_61: u64 = (1 << 61) - 1;
@@ -28,7 +27,7 @@ fn mod_mersenne(x: u128) -> u64 {
 
 /// A single pairwise-independent hash function mapping `u64` keys to
 /// `[0, range)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairwiseHash {
     a: u64,
     b: u64,
@@ -99,7 +98,7 @@ impl PairwiseHash {
 
 /// A ±1-valued pairwise-independent hash, used by the Count Sketch to decide
 /// the sign with which an element contributes to its counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignHash {
     inner: PairwiseHash,
 }
@@ -124,7 +123,7 @@ impl SignHash {
 }
 
 /// A family of `depth` independent hash functions, one per sketch level.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashFamily {
     functions: Vec<PairwiseHash>,
 }

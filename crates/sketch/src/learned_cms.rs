@@ -15,11 +15,10 @@
 
 use crate::count_min::CountMinSketch;
 use opthash_stream::{ElementId, FrequencyEstimator, SpaceBudget, SpaceReport, StreamElement};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Learned Count-Min Sketch with an ideal heavy-hitter oracle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LearnedCountMin {
     /// Exact counters for oracle-designated heavy hitters.
     heavy: HashMap<ElementId, u64>,
@@ -73,11 +72,6 @@ impl LearnedCountMin {
     #[inline]
     pub fn heavy_buckets(&self) -> usize {
         self.reserved_heavy
-    }
-
-    /// Width × depth of the backing Count-Min Sketch.
-    pub fn backing_dimensions(&self) -> (usize, usize) {
-        (self.backing.width(), self.backing.depth())
     }
 
     /// Returns `true` if `id` is tracked exactly by a unique bucket.

@@ -10,11 +10,10 @@
 //! the oracle-free heavy-hitter detector used by ablation experiments.
 
 use opthash_stream::{ElementId, FrequencyEstimator, SpaceReport, StreamElement};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Misra–Gries summary with at most `capacity` tracked counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MisraGries {
     capacity: usize,
     counters: HashMap<ElementId, u64>,

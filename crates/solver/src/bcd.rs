@@ -29,7 +29,6 @@ use crate::progress::Ema2;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Fast EMA window (sweeps) for the stagnation check.
@@ -39,7 +38,7 @@ const EMA_SLOW_WINDOW: usize = 12;
 
 /// How the initial assignment of elements to buckets is produced
 /// (Section 4.3 discusses all four options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InitStrategy {
     /// Uniformly random bucket per element.
     #[default]
@@ -56,7 +55,7 @@ pub enum InitStrategy {
 }
 
 /// Configuration of the block coordinate descent solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BcdConfig {
     /// Maximum number of full sweeps over the elements per restart.
     pub max_iterations: usize,

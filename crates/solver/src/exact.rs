@@ -27,11 +27,10 @@
 use crate::bcd::{BcdConfig, BcdSolver};
 use crate::problem::{HashingProblem, HashingSolution, SolverStats};
 use opthash_stream::Features;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Configuration of the exact branch-and-bound solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactConfig {
     /// Hard cap on the number of search nodes explored; the best incumbent is
     /// returned (flagged as not proven optimal) if the cap is hit.

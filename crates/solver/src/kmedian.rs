@@ -27,11 +27,10 @@
 //! at zero cost, and one stable sort reproduces the DP's assignment.
 
 use crate::problem::{HashingProblem, HashingSolution, SolverStats};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Which within-cluster deviation the DP minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClusterCost {
     /// `Σ |x_i − median|` — the classical 1-D k-median objective, matching
     /// the paper's `dp` solver (Ckmeans.1d.dp).
@@ -42,7 +41,7 @@ pub enum ClusterCost {
 }
 
 /// Which DP strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DpStrategy {
     /// Divide-and-conquer over split points, `O(n·b·log n)`.
     ///
@@ -59,7 +58,7 @@ pub enum DpStrategy {
 }
 
 /// Result of the k-median DP.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KMedianResult {
     /// Cluster index of each input value, in the original input order.
     /// Clusters are numbered by increasing value range.

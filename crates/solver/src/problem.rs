@@ -1,7 +1,6 @@
 //! Problem and solution types shared by all solvers.
 
 use opthash_stream::{assignment_errors, AssignmentErrors, Features};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// An instance of the optimal-hashing problem (Problem (1) of the paper).
@@ -10,7 +9,7 @@ use std::time::Duration;
 /// * `features[i]` — the feature vector `x_i` (may be empty when `λ = 1`),
 /// * `buckets` — the number of buckets `b`,
 /// * `lambda` — the weight trading off estimation vs. similarity error.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HashingProblem {
     /// Observed prefix frequencies `f⁰`, one entry per element.
     pub frequencies: Vec<f64>,
@@ -136,7 +135,7 @@ impl HashingProblem {
 /// the winning restart so callers can see *how* the solve converged — the
 /// warm-start machinery uses this to prove that re-solving a perturbed
 /// problem from the incumbent assignment converges faster than from scratch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolverStats {
     /// Wall-clock time spent solving.
     pub elapsed: Duration,
@@ -171,7 +170,7 @@ pub struct SolverStats {
 
 /// A learned hashing scheme: the assignment `Z` of Problem (1) in dense form
 /// (`assignment[i]` is the bucket of element `i`) plus its objective terms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HashingSolution {
     /// Bucket index of each element.
     pub assignment: Vec<usize>,
@@ -238,7 +237,7 @@ impl HashingSolution {
 }
 
 /// Summary of one bucket of a solution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BucketStats {
     /// Bucket index `j`.
     pub bucket: usize,

@@ -5,7 +5,6 @@
 //! what allow the learned hashing scheme to place *unseen* elements into a
 //! bucket of similar elements (Section 5.2).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of an element of the universe `U`.
@@ -15,7 +14,7 @@ use std::fmt;
 /// text-keyed universes (search queries) the ID is a stable hash of the key
 /// maintained by the dataset, so equality of IDs coincides with equality of
 /// keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ElementId(pub u64);
 
 impl ElementId {
@@ -51,7 +50,7 @@ impl fmt::Display for ElementId {
 /// through this type. Features are plain `f64`s; text features produced by
 /// `opthash-ml::features` (bag-of-words counts plus character statistics) are
 /// flattened into the same representation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Features(pub Vec<f64>);
 
 impl Features {
@@ -138,7 +137,7 @@ impl std::ops::Index<usize> for Features {
 /// `StreamElement` is the unit carried by a [`crate::Stream`]. The same
 /// element (same ID) typically appears many times in a stream; its features
 /// are identical across appearances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamElement {
     /// Unique ID `k` of the element.
     pub id: ElementId,

@@ -2,7 +2,6 @@
 
 use crate::element::{ElementId, StreamElement};
 use crate::stream::Stream;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Exact frequency distribution `f` of a stream: a map from element ID to its
@@ -12,7 +11,7 @@ use std::collections::HashMap;
 /// also what a "store everything" baseline would maintain, so its
 /// [`FrequencyVector::support_size`] doubles as the space lower bound the
 /// paper's compressed estimators are measured against.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrequencyVector {
     counts: HashMap<ElementId, u64>,
     total: u64,

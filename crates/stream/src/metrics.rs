@@ -13,7 +13,6 @@
 //!   are exactly the quantities plotted in Figures 2–6.
 
 use crate::element::Features;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate error of an estimator over a set of query elements.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// queried element with its true and estimated frequency) and read the two
 /// paper metrics from [`ErrorMetrics::average_absolute_error`] and
 /// [`ErrorMetrics::expected_absolute_error`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ErrorMetrics {
     /// Number of observed (queried) elements.
     pub count: usize,
@@ -115,7 +114,7 @@ impl ErrorMetrics {
 
 /// The two objective terms of Problem (1) evaluated on a concrete bucket
 /// assignment, plus their λ-weighted combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssignmentErrors {
     /// `Σ_j Σ_{i∈I_j} |f⁰_i − μ_j|` — the estimation error term.
     pub estimation_error: f64,

@@ -14,8 +14,6 @@
 //! rules, and [`SpaceReport`] lets each estimator itemize its usage so
 //! experiments can assert that all competitors stay within the same budget.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes occupied by one ordinary counter bucket (Section 7.4).
 pub const BYTES_PER_BUCKET: usize = 4;
 
@@ -25,7 +23,7 @@ pub const BYTES_PER_BUCKET: usize = 4;
 pub const BYTES_PER_STORED_ID: usize = 4;
 
 /// What a bucket is used for, which determines its cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BucketKind {
     /// A plain counter (Count-Min cell, opt-hash bucket sum).
     Counter,
@@ -55,7 +53,7 @@ impl BucketKind {
 ///
 /// Construct from kilobytes with [`SpaceBudget::from_kb`] to follow the
 /// paper's configurations (1.2 KB … 120 KB), then derive bucket counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpaceBudget {
     bytes: usize,
 }
@@ -129,7 +127,7 @@ impl SpaceBudget {
 }
 
 /// Itemized memory usage of an estimator.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpaceReport {
     /// Number of plain counter buckets.
     pub counters: usize,

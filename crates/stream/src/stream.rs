@@ -7,7 +7,6 @@
 
 use crate::element::{ElementId, Features, StreamElement};
 use crate::frequency::FrequencyVector;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A finite, ordered stream of element arrivals.
@@ -17,7 +16,7 @@ use std::collections::HashMap;
 /// may attach the features only to a side universe table and leave the
 /// per-arrival features empty — both layouts are supported by the estimators,
 /// which only need features at *training* time).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Stream {
     arrivals: Vec<StreamElement>,
 }
@@ -125,7 +124,7 @@ impl IntoIterator for Stream {
 }
 
 /// Summary statistics of a [`Stream`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamStats {
     /// Total number of arrivals `|S|`.
     pub arrivals: usize,
@@ -144,7 +143,7 @@ pub struct StreamStats {
 /// The prefix is the *training set* of the whole approach: the solver
 /// consumes `(f⁰_i, x_i)` pairs and the classifier is trained on
 /// `(x_i, bucket_i)` pairs (Sections 4 and 5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamPrefix {
     /// Number of arrivals `|S0|`: the sum of [`Self::frequencies`].
     arrivals: usize,

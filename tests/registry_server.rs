@@ -104,6 +104,10 @@ fn full_protocol_over_loopback() {
     assert!(client
         .send("CREATE t bloom:9")
         .starts_with("ERR invalid backend spec"));
+    // An oversized grid is refused before anything is allocated.
+    assert!(client
+        .send("CREATE t count-min:1000000000000x1")
+        .starts_with("ERR invalid backend spec"));
 
     // STATS reflect everything above, including the conservation audit.
     let stats = client.send("STATS");
