@@ -56,10 +56,6 @@ pub struct OptHashConfig {
     /// when the prefix has more, it is down-sampled with probability
     /// proportional to observed frequency (Section 7.3). `None` keeps all.
     pub max_stored_elements: Option<usize>,
-    /// Whether the prefix frequencies are folded into the bucket counters so
-    /// estimates cover the whole stream including the prefix period (the
-    /// real-world experiments aggregate from day 0).
-    pub include_prefix_counts: bool,
     /// RNG seed (classifier training, prefix sampling).
     pub seed: u64,
 }
@@ -72,7 +68,6 @@ impl Default for OptHashConfig {
             solver: SolverKind::default(),
             classifier: ClassifierKind::Cart,
             max_stored_elements: None,
-            include_prefix_counts: true,
             seed: 0,
         }
     }
@@ -168,12 +163,6 @@ impl OptHashBuilder {
         self
     }
 
-    /// Controls whether prefix frequencies seed the bucket counters.
-    pub fn include_prefix_counts(mut self, include: bool) -> Self {
-        self.config.include_prefix_counts = include;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -212,7 +201,6 @@ mod tests {
         assert_eq!(c.buckets, 16);
         assert_eq!(c.lambda, 1.0);
         assert_eq!(c.solver.name(), "bcd");
-        assert!(c.include_prefix_counts);
         c.validate();
     }
 
@@ -230,14 +218,12 @@ mod tests {
             .lambda(0.5)
             .classifier(ClassifierKind::RandomForest)
             .max_stored_elements(123)
-            .include_prefix_counts(false)
             .seed(9);
         let c = b.config();
         assert_eq!(c.buckets, 7);
         assert_eq!(c.lambda, 0.5);
         assert_eq!(c.classifier, ClassifierKind::RandomForest);
         assert_eq!(c.max_stored_elements, Some(123));
-        assert!(!c.include_prefix_counts);
         assert_eq!(c.seed, 9);
     }
 

@@ -144,7 +144,10 @@ impl OptHash {
         };
         let solver_time = solver_start.elapsed();
 
-        // Materialize the hash table and bucket statistics.
+        // Materialize the hash table and bucket statistics. The prefix
+        // frequencies seed the bucket counters, so estimates cover the whole
+        // stream including the prefix period (the real-world experiments
+        // aggregate from day 0).
         let mut table = HashMap::with_capacity(prefix.distinct_len());
         let mut bucket_counts = vec![0.0f64; config.buckets];
         let mut bucket_elements = vec![0usize; config.buckets];
@@ -152,9 +155,7 @@ impl OptHash {
             let bucket = solution.assignment[i];
             table.insert(element.id, bucket);
             bucket_elements[bucket] += 1;
-            if config.include_prefix_counts {
-                bucket_counts[bucket] += prefix.frequencies()[i] as f64;
-            }
+            bucket_counts[bucket] += prefix.frequencies()[i] as f64;
         }
 
         // Train the classifier on (features, bucket) pairs.
@@ -406,19 +407,6 @@ mod tests {
             hot_estimate > cold_estimate,
             "hot {hot_estimate} vs cold {cold_estimate}"
         );
-    }
-
-    #[test]
-    fn include_prefix_counts_false_starts_counters_at_zero() {
-        let est = OptHashBuilder::new(2)
-            .lambda(1.0)
-            .solver(SolverKind::Dp)
-            .include_prefix_counts(false)
-            .train(&grouped_prefix());
-        for bucket in 0..est.buckets() {
-            assert_eq!(est.bucket_count(bucket), 0.0);
-        }
-        assert_eq!(est.estimate(&StreamElement::new(0u64, vec![0.0, 0.1])), 0.0);
     }
 
     #[test]

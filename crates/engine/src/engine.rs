@@ -4,9 +4,7 @@ use crate::backend::SketchBackend;
 use crate::error::EngineError;
 use crate::fault::{self, FaultEvent, FaultInjector, FaultLog, SharedFaultLog};
 use crate::queue::{BatchData, ControlInner, ShardChannel, ShardCounters};
-use crate::snapshot::{
-    BaseSlot, EpochStamp, PublishedSlot, SnapshotEstimate, SnapshotHub, SnapshotReader,
-};
+use crate::snapshot::{EpochStamp, SnapshotEstimate, SnapshotHub, SnapshotReader};
 use crate::worker::{spawn_worker, ShardHandle};
 use opthash_stream::{Stream, StreamElement};
 use std::sync::{Arc, Mutex};
@@ -309,16 +307,18 @@ impl BatchBuffer {
 ///
 /// # Two read paths
 ///
+/// Both paths answer from the one view that commits and hot-swaps publish
+/// (see [`crate::snapshot`]): the scheme's base plus every shard's
+/// committed delta.
+///
 /// * [`IngestEngine::query`] is **wait-free**: it answers from the latest
-///   epoch-stamped snapshot set the workers have published (see
-///   [`crate::snapshot`]), never touching the flush barrier, and returns a
+///   published view, never touching the flush barrier, and returns a
 ///   [`SnapshotEstimate`] whose [`EpochStamp`] says exactly which prefix
 ///   of the stream it observed. [`IngestEngine::snapshot_reader`] hands
 ///   the same capability to other threads.
 /// * [`IngestEngine::query_synced`] is **barrier-synced**: it flushes,
-///   waits for every shard to drain, and merges the shard snapshots
-///   (cached until the next ingest), so the answer covers every admitted
-///   arrival.
+///   waits for every shard to drain, and then reads the same view, which
+///   by then covers every admitted arrival.
 ///
 /// After a flush with no further ingestion the two paths agree exactly.
 ///
@@ -344,29 +344,24 @@ impl BatchBuffer {
 ///
 /// # Memory
 ///
-/// The engine keeps up to `2 × shards + 3` copies of the backend's state:
+/// The engine keeps up to `2 × shards + 2` copies of the backend's state:
 ///
-/// * the engine's base backend;
-/// * the snapshot hub's copy of that base, which readers merge onto;
+/// * the published base of the current scheme, which readers merge onto;
 /// * per shard, the committed snapshot (the published query snapshot
 ///   shares its allocation), plus the worker's working copy while it
 ///   applies a batch;
-/// * one merged view: the barrier path's cached merge, or before the first
-///   synced query the empty fork every shard starts from.
+/// * the merged view cached by the engine's own reader, which both read
+///   paths answer from.
 ///
 /// Every copy of an [`opthash::OptHash`] shares one hash table and
 /// classifier, so for it a copy is just its bucket counters. On top of
 /// that come each shard's batch buffer and up to `queue_capacity` batches
-/// per shard in flight, trading memory for ingest throughput. Each
-/// [`SnapshotReader`] that has answered a query (the engine's own, once
-/// [`IngestEngine::query`] is used) caches one more merged view, and after a
-/// hot-swap every shard's slot retains its retired delta until the next
-/// swap.
+/// per shard in flight, trading memory for ingest throughput. Every other
+/// [`SnapshotReader`] that has answered a query caches one more merged
+/// view.
 pub struct IngestEngine<B: SketchBackend> {
-    base: B,
     buffers: Vec<BatchBuffer>,
     handles: Vec<ShardHandle<B>>,
-    merged: Option<B>,
     hub: Arc<SnapshotHub<B>>,
     reader: SnapshotReader<B>,
     elements: u64,
@@ -386,8 +381,8 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// is finished or dropped.
     ///
     /// The backend may already hold state (e.g. a trained
-    /// [`opthash::OptHash`] with prefix counts); that state is preserved in
-    /// the base copy and never double-counted by shard merges.
+    /// [`opthash::OptHash`] with prefix counts); it becomes the published
+    /// base, and shard merges never double-count it.
     ///
     /// # Panics
     ///
@@ -399,30 +394,22 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             .collect();
         let faults = FaultInjector::new();
         let fault_log: SharedFaultLog = Arc::new(Mutex::new(FaultLog::default()));
-        // Every shard's query-snapshot slot and channel snapshot is seeded
-        // with ONE shared empty fork (both only ever replace the `Arc`
-        // wholesale, never write through it, so sharing is sound); the
-        // hub's base starts as a copy of the (possibly pre-trained) backend
-        // at scheme version 0. Sharing keeps construction at a single fork
-        // regardless of shard count — engine construction sits inside
-        // latency-sensitive paths like the bench's per-pass setup.
+        // Every shard's published delta and channel snapshot is seeded with
+        // ONE shared empty fork (both only ever replace the `Arc` wholesale,
+        // never write through it, so sharing is sound); the (possibly
+        // pre-trained) backend itself becomes the published base at scheme
+        // version 0. Sharing keeps construction at a single fork regardless
+        // of shard count — engine construction sits inside latency-sensitive
+        // paths like the bench's per-pass setup.
         let blank = Arc::new(backend.fork());
-        let slots: Vec<Arc<PublishedSlot<B>>> = (0..config.shards)
-            .map(|_| Arc::new(PublishedSlot::new(Arc::clone(&blank))))
-            .collect();
-        let hub = Arc::new(SnapshotHub {
-            base: BaseSlot::new(Arc::new(backend.clone())),
-            shards: slots.clone(),
-        });
+        let hub = Arc::new(SnapshotHub::new(Arc::new(backend), &blank, config.shards));
         let reader = SnapshotReader::new(Arc::clone(&hub));
-        let handles = slots
-            .into_iter()
-            .enumerate()
-            .map(|(shard, slot)| {
+        let handles = (0..config.shards)
+            .map(|shard| {
                 let cell = Arc::new(ShardChannel::new(
                     Arc::clone(&blank),
                     config.queue_capacity,
-                    slot,
+                    Arc::clone(&hub),
                 ));
                 let thread = spawn_worker(
                     Arc::clone(&cell),
@@ -440,10 +427,8 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             })
             .collect();
         IngestEngine {
-            base: backend,
             buffers,
             handles,
-            merged: None,
             hub,
             reader,
             elements: 0,
@@ -733,7 +718,6 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         if !self.dirty {
             return Ok(());
         }
-        self.merged = None;
         self.flushes += 1;
         // A poisoned shard must not stop the others from flushing: record
         // the first error but keep dispatching and keep the barrier, so
@@ -807,14 +791,16 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// scheme — the online re-training hot-swap.
     ///
     /// No thread is stalled, stopped, or restarted: pending buffers are
-    /// dispatched, then each shard is handed a swap request that its worker
+    /// dispatched, the new base is [`SketchBackend::fork`]ed once, and each
+    /// shard is handed that blank fork in a swap request that its worker
     /// picks up as the next queue event after draining its batches. The
-    /// worker retires the shard's committed snapshot and commits a fresh
-    /// [`SketchBackend::fork`] of the new base in its place; the retired
-    /// per-shard deltas are [`SketchBackend::merge`]d into the old base,
-    /// which is returned. A worker that dies mid-swap is re-forked by the
-    /// supervisor and redoes the still-pending request, so the swap
-    /// completes exactly once per shard.
+    /// worker retires the shard's committed snapshot and commits the blank
+    /// in its place; the retired per-shard deltas are
+    /// [`SketchBackend::merge`]d into a copy of the old base, which is
+    /// returned. A worker that dies mid-swap is re-forked by the supervisor
+    /// and redoes the still-pending request, so the swap completes exactly
+    /// once per shard. Readers then see the new scheme — version, base and
+    /// every shard's blank — in one publication.
     ///
     /// The admitted counts are untouched: admitted mass was either
     /// applied (it leaves inside the returned backend), quarantined, or
@@ -824,69 +810,49 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
     /// # Errors
     ///
     /// [`EngineError::ShardPoisoned`] if a shard's state is unrecoverable;
-    /// healthy shards still complete the swap, but the retired backend is
-    /// withheld because it would under-count the poisoned shard's delta.
+    /// healthy shards still complete the swap and readers see the new
+    /// scheme, but the retired backend is withheld because it would
+    /// under-count the poisoned shard's delta, and the next flush reports
+    /// the poisoned shard again.
     pub fn swap_backend(&mut self, new_base: B) -> Result<B, EngineError> {
-        self.merged = None;
         let mut first_err = self.dispatch_all().err();
-        // Publish the new scheme to every shard, then wait for each worker
-        // to retire its delta, supervising while waiting so a worker that
-        // dies mid-swap is re-forked to redo it.
-        let fresh = new_base.clone();
-        let shared = Arc::new(new_base);
-        let version = self.scheme_version + 1;
+        // Hand the blank to every shard, then wait for each worker to
+        // retire its delta, supervising while waiting so a worker that dies
+        // mid-swap is re-forked to redo it.
+        let blank = Arc::new(new_base.fork());
         for handle in &self.handles {
-            handle.cell.request_swap(version, Arc::clone(&shared));
+            handle.cell.request_swap(Arc::clone(&blank));
         }
         if let Err(err) = self.wait_all(|inner| inner.swap_request.is_none()) {
             first_err.get_or_insert(err);
         }
-        let mut retired = std::mem::replace(&mut self.base, fresh);
+        let mut retired = (*self.hub.base()).clone();
         for handle in &self.handles {
             if let Some(delta) = handle.cell.take_retired() {
                 retired.merge(&delta);
             }
         }
-        self.scheme_version = version;
-        // Advance the snapshot base only now, after every healthy shard has
-        // published its new-scheme slot: a reader that loads the old base
-        // still finds each shard's pre-swap delta retained as `prev`, so no
-        // stamp ever mixes scheme versions.
-        self.hub.base.store(version, shared);
+        self.scheme_version += 1;
+        // One store replaces the base and every shard's delta, so a reader
+        // sees all of the old scheme or all of the new, a poisoned shard's
+        // entry included.
+        self.hub
+            .publish_swap(self.scheme_version, Arc::new(new_base), &blank);
         // Every admitted arrival is either applied (inside the retired
         // backend), quarantined, or was just re-forked away — the fresh
-        // snapshots cover all future state, so no flush is pending.
-        self.dirty = false;
+        // snapshots cover all future state, so no flush is pending unless a
+        // shard is poisoned, which the next flush must report again.
+        self.dirty = first_err.is_some();
         match first_err {
             Some(err) => Err(err),
             None => Ok(retired),
         }
     }
 
-    /// Flushes all pending batches and returns the merged estimator view
-    /// that [`IngestEngine::query_synced`] answers from. The merge costs
-    /// `O(shards × state size)` but is cached: repeated queries without
-    /// interleaved ingestion reuse the same merged backend.
-    fn merged(&mut self) -> Result<&B, EngineError> {
-        self.flush()?;
-        if self.merged.is_none() {
-            let mut merged = self.base.clone();
-            for (shard, handle) in self.handles.iter().enumerate() {
-                let inner = handle.cell.lock_always();
-                if inner.poisoned {
-                    return Err(EngineError::ShardPoisoned { shard });
-                }
-                merged.merge(inner.snapshot.as_ref());
-            }
-            self.merged = Some(merged);
-        }
-        Ok(self.merged.as_ref().expect("merged view just built"))
-    }
-
     /// Estimates the frequency of `element` **without waiting on
-    /// ingestion**: the answer comes from the latest epoch-stamped snapshot
-    /// set the shard workers have published, never from behind the flush
-    /// barrier. Mass still buffered, queued, or inflight is not visible;
+    /// ingestion**: the answer comes from the latest epoch-stamped view the
+    /// shard commits and hot-swaps have published, never from behind the
+    /// flush barrier. Mass still buffered, queued, or inflight is not visible;
     /// the returned [`EpochStamp`] says exactly which prefix was (see
     /// [`crate::snapshot`] for the full contract, including why a stamp
     /// never mixes scheme versions).
@@ -900,20 +866,22 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         self.reader.query(element)
     }
 
-    /// Returns the estimated frequency of `element`, flushing and merging
-    /// first so the answer reflects every admitted arrival. This is the
-    /// barrier-synced read path: it waits for every shard to drain,
-    /// trading latency for completeness — the wait-free
-    /// counterpart is [`IngestEngine::query`]. The merged view is cached
-    /// until the next ingest, so repeated queries cost one backend lookup.
+    /// Returns the estimated frequency of `element`, flushing first so the
+    /// answer reflects every admitted arrival. This is the barrier-synced
+    /// read path: it waits for every shard to drain, trading latency for
+    /// completeness, then reads the published view the wait-free
+    /// [`IngestEngine::query`] reads. The engine's reader caches its merged
+    /// view until the next publication, so repeated queries without
+    /// interleaved ingestion cost one backend lookup.
     ///
     /// # Errors
     ///
     /// [`EngineError::ShardPoisoned`] if a shard is fenced off: the engine
-    /// reports the corruption instead of answering from wrong counts (a
-    /// merged view would silently under-count, so none is produced).
+    /// reports the corruption instead of answering from wrong counts (the
+    /// view would silently under-count the fenced-off shard).
     pub fn query_synced(&mut self, element: &StreamElement) -> Result<f64, EngineError> {
-        Ok(self.merged()?.query(element))
+        self.flush()?;
+        Ok(self.reader.estimate(element))
     }
 
     /// A cloneable, `Send + Sync` handle for issuing wait-free snapshot
@@ -931,8 +899,9 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
         self.reader.stamp()
     }
 
-    /// Flushes, merges every shard into the base and returns the final
-    /// estimator, consuming the engine (worker threads are joined).
+    /// Flushes, merges every shard's committed snapshot onto a copy of the
+    /// published base and returns the final estimator, consuming the engine
+    /// (worker threads are joined).
     ///
     /// Every buffer is dispatched and every channel closed first, so all
     /// workers drain their final batches concurrently. The engine then
@@ -949,11 +918,12 @@ impl<B: SketchBackend + 'static> IngestEngine<B> {
             handle.cell.close();
         }
         self.barrier()?;
+        let mut merged = (*self.hub.base()).clone();
         for handle in &mut self.handles {
             handle.shutdown();
-            self.base.merge(handle.cell.lock_always().snapshot.as_ref());
+            merged.merge(handle.cell.lock_always().snapshot.as_ref());
         }
-        Ok(self.base)
+        Ok(merged)
     }
 }
 

@@ -18,7 +18,7 @@
 //! | `worker::apply`         | before every single update of a batch        |
 //! | `worker::before_commit` | after a batch applied, before its commit     |
 //! | `worker::checkpoint`    | inside a batch commit's critical section     |
-//! | `worker::publish`       | before a commit's or swap's slot publish     |
+//! | `worker::publish`       | inside a batch commit, before its publish    |
 //! | `worker::swap`          | on a hot-swap request, before any mutation   |
 //!
 //! A panic at `worker::poll`, `worker::batch` or `worker::before_commit`
@@ -31,11 +31,10 @@
 //! blocked on a full queue); a panic at `worker::swap` kills the worker
 //! *during a scheme hot-swap* with the swap request still pending — the
 //! supervisor's replacement worker starts from the pre-swap snapshot and
-//! redoes the swap, exercising the exactly-once publish protocol of
+//! redoes the swap, exercising the exactly-once swap protocol of
 //! [`crate::IngestEngine::swap_backend`]; a delay at `worker::publish`
-//! holds back a commit's or swap's query-slot publication, exercising
-//! that `flush` and `swap_backend` wait for it. Without the feature every
-//! hook compiles to nothing.
+//! holds back a commit's snapshot publication, exercising that `flush`
+//! waits for it. Without the feature every hook compiles to nothing.
 //!
 //! The injector is **engine-scoped**, not process-global: every engine owns
 //! its own registry (shared with its workers), so concurrently running
@@ -373,11 +372,6 @@ pub struct FaultLog {
 }
 
 impl FaultLog {
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
     /// `true` if no fault has been recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()

@@ -14,19 +14,21 @@
 //!   weighted update — on the Zipfian streams the paper studies most
 //!   arrivals are duplicates), and streams full batches through bounded
 //!   queues to persistent per-shard worker threads, so application overlaps
-//!   ingestion. Reads come in two flavours: wait-free epoch-stamped
-//!   snapshot queries ([`IngestEngine::query`], [`SnapshotReader`]) that
-//!   never touch the flush barrier, and barrier-synced queries
-//!   ([`IngestEngine::query_synced`]) that flush, wait for every shard to
-//!   drain, and merge the shard deltas.
+//!   ingestion. Every read answers from one published view — the scheme's
+//!   base plus each shard's committed delta — in two flavours: wait-free
+//!   epoch-stamped snapshot queries ([`IngestEngine::query`],
+//!   [`SnapshotReader`]) that never touch the flush barrier, and
+//!   barrier-synced queries ([`IngestEngine::query_synced`]) that flush,
+//!   wait for every shard to drain, and then read the same view.
 //!
 //! The engine is *exact* for the linear backends: queries of a sharded
 //! engine equal those of the same backend fed sequentially (see the
 //! [`SketchBackend`] docs for the precise contract).
 //!
 //! Shard workers are stateless. For each batch a worker copies its shard's
-//! committed snapshot, applies the batch to the copy, and commits the copy
-//! as the shard's new snapshot, which is also what wait-free readers see.
+//! committed snapshot, applies the batch to the copy, and commits and
+//! publishes the copy as the shard's new snapshot, which is what both read
+//! paths see.
 //!
 //! ## Robustness model
 //!
@@ -59,8 +61,9 @@
 //! Backends can be replaced *while the engine runs*:
 //! [`IngestEngine::swap_backend`] drains every shard, retires each shard's
 //! accumulated delta through the fork/merge machinery (the retired base —
-//! with every count it absorbed — is returned to the caller) and re-forks
-//! every shard from the new base, without stopping a single worker thread
+//! with every count it absorbed — is returned to the caller), restarts
+//! every shard from one blank fork of the new base and publishes the new
+//! scheme to readers in one step, without stopping a single worker thread
 //! and without losing a unit of mass. [`Retrainer`] builds the full
 //! re-training loop on top for [`opthash::OptHash`]: a sliding window of
 //! recent arrivals, periodic warm-started re-solves (by default on a

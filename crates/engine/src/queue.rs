@@ -18,7 +18,7 @@
 //!   never fall between the queue and the worker when a panic strikes);
 //! * `snapshot` — the shard's committed accumulated delta, an `Arc`
 //!   replaced wholesale by every commit (never mutated in place) and
-//!   shared with the shard's [`crate::snapshot::PublishedSlot`], so
+//!   shared with the shard's entry in the [`crate::snapshot`] hub, so
 //!   publishing a wait-free query snapshot costs one `Arc` clone. The
 //!   worker applies each batch to a copy of it, and a replacement worker
 //!   simply starts from it;
@@ -48,7 +48,7 @@
 use crate::backend::SketchBackend;
 use crate::error::EngineError;
 use crate::fault::{self, FaultEvent, SharedFaultLog};
-use crate::snapshot::PublishedSlot;
+use crate::snapshot::SnapshotHub;
 use opthash_stream::StreamElement;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -124,14 +124,13 @@ pub(crate) struct ControlInner<B> {
     pub snapshot_mass: u64,
     pub quarantined: Vec<Arc<BatchData>>,
     pub counters: ShardCounters,
-    /// Pending scheme hot-swap: the target scheme version and the new base
-    /// backend the worker forks the shard's new snapshot from once its
-    /// queue is drained. Left in place until
-    /// [`ShardChannel::complete_swap`], so a worker that dies mid-swap is
-    /// simply redone by its replacement.
-    pub swap_request: Option<(u64, Arc<B>)>,
-    /// The retired pre-swap shard delta published by the last completed
-    /// swap, awaiting collection by the engine.
+    /// Pending scheme hot-swap: the blank fork of the new base that
+    /// becomes the shard's snapshot once its queue is drained. Left in
+    /// place until [`ShardChannel::complete_swap`], so a worker that dies
+    /// mid-swap is simply redone by its replacement.
+    pub swap_request: Option<Arc<B>>,
+    /// The retired pre-swap shard delta parked by the last completed swap,
+    /// awaiting collection by the engine.
     pub retired: Option<Arc<B>>,
     pub closed: bool,
     pub poisoned: bool,
@@ -167,14 +166,9 @@ impl<B> ControlInner<B> {
 pub(crate) enum WorkerEvent<B> {
     /// Apply this batch (already marked inflight).
     Batch(QueuedBatch),
-    /// Queue is drained and a scheme swap is pending: fork the shard's new
-    /// snapshot from this base, then [`ShardChannel::complete_swap`].
-    Swap {
-        /// The scheme version the swap installs.
-        version: u64,
-        /// The new base backend to fork the fresh snapshot from.
-        base: Arc<B>,
-    },
+    /// Queue is drained and a scheme swap is pending: install this blank
+    /// fork of the new base with [`ShardChannel::complete_swap`].
+    Swap(Arc<B>),
     /// The channel is closed and drained: exit.
     Shutdown,
 }
@@ -188,11 +182,11 @@ pub(crate) struct ShardChannel<B> {
     /// quarantines.
     progress: Condvar,
     /// Where the worker publishes epoch-stamped query snapshots.
-    slot: Arc<PublishedSlot<B>>,
+    hub: Arc<SnapshotHub<B>>,
 }
 
 impl<B: SketchBackend> ShardChannel<B> {
-    pub fn new(snapshot: Arc<B>, capacity: usize, slot: Arc<PublishedSlot<B>>) -> Self {
+    pub fn new(snapshot: Arc<B>, capacity: usize, hub: Arc<SnapshotHub<B>>) -> Self {
         ShardChannel {
             control: Mutex::new(ControlInner {
                 queue: VecDeque::new(),
@@ -209,7 +203,7 @@ impl<B: SketchBackend> ShardChannel<B> {
             }),
             work: Condvar::new(),
             progress: Condvar::new(),
-            slot,
+            hub,
         }
     }
 
@@ -283,18 +277,18 @@ impl<B: SketchBackend> ShardChannel<B> {
         inner.closed && inner.is_drained()
     }
 
-    /// Requests a scheme hot-swap to `version`: once the worker drains its
-    /// queue it will retire the shard's snapshot and fork a fresh one from
-    /// `base`. The request stays set until the worker completes it, so a
+    /// Requests a scheme hot-swap: once the worker drains its queue it will
+    /// retire the shard's snapshot and install `blank`, a fork of the new
+    /// base. The request stays set until the worker completes it, so a
     /// worker death mid-swap is redone by the replacement worker.
-    pub fn request_swap(&self, version: u64, base: Arc<B>) {
+    pub fn request_swap(&self, blank: Arc<B>) {
         let mut inner = self.lock_always();
-        inner.swap_request = Some((version, base));
+        inner.swap_request = Some(blank);
         drop(inner);
         self.work.notify_all();
     }
 
-    /// Collects the retired pre-swap delta published by the last completed
+    /// Collects the retired pre-swap delta parked by the last completed
     /// swap.
     pub fn take_retired(&self) -> Option<Arc<B>> {
         self.lock_always().retired.take()
@@ -336,11 +330,8 @@ impl<B: SketchBackend> ShardChannel<B> {
             // A pending swap is surfaced by *peeking* — it stays requested
             // until `complete_swap`, so a worker that dies between here and
             // completion hands the still-pending swap to its replacement.
-            if let Some((version, base)) = inner.swap_request.as_ref() {
-                return WorkerEvent::Swap {
-                    version: *version,
-                    base: Arc::clone(base),
-                };
+            if let Some(blank) = inner.swap_request.as_ref() {
+                return WorkerEvent::Swap(Arc::clone(blank));
             }
             if inner.closed {
                 return WorkerEvent::Shutdown;
@@ -355,19 +346,25 @@ impl<B: SketchBackend> ShardChannel<B> {
     /// Commits a successfully applied batch: credits the applied counters,
     /// makes `snapshot` (the worker's copy with the batch applied) the
     /// shard's committed snapshot, clears the inflight slot and publishes
-    /// the snapshot to the query slot — one critical section, so the batch
-    /// is either inflight (to be applied again) or inside the committed
-    /// snapshot, never both or neither.
+    /// the snapshot as `shard`'s entry in the snapshot hub — one critical
+    /// section, so the batch is either inflight (to be applied again) or
+    /// inside the committed snapshot, never both or neither.
     ///
     /// `failpoint` is called with the `worker::checkpoint` and
     /// `worker::publish` failpoint names, both inside the critical section
     /// (a panic at either poisons the shard, which is exactly the scenario
-    /// they exist to exercise). Because the slot is published before the
-    /// control lock drops, an engine that sees the shard drained already
-    /// sees the batch on the wait-free path. Readers never take the control
-    /// lock, and the slot lock wraps one `Arc` store, so a reader still
-    /// never waits on the control section.
-    pub fn commit(&self, batch: QueuedBatch, snapshot: Arc<B>, failpoint: impl Fn(&'static str)) {
+    /// they exist to exercise). Because the snapshot is published before
+    /// the control lock drops, an engine that sees the shard drained
+    /// already sees the batch on the wait-free path. Readers never take the
+    /// control lock, and the hub's lock wraps a few `Arc` stores, so a
+    /// reader still never waits on the control section.
+    pub fn commit(
+        &self,
+        batch: QueuedBatch,
+        snapshot: Arc<B>,
+        shard: usize,
+        failpoint: impl Fn(&'static str),
+    ) {
         let mut inner = self.lock_always();
         let mass = batch.data.mass;
         inner.counters.applied_updates += batch.data.updates.len() as u64;
@@ -378,7 +375,7 @@ impl<B: SketchBackend> ShardChannel<B> {
         inner.snapshot_mass += mass;
         inner.inflight = None;
         failpoint("worker::publish");
-        self.slot.publish(snapshot, inner.snapshot_mass);
+        self.hub.publish(shard, snapshot, inner.snapshot_mass);
         drop(inner);
         self.progress.notify_all();
     }
@@ -417,25 +414,19 @@ impl<B: SketchBackend> ShardChannel<B> {
         self.progress.notify_all();
     }
 
-    /// Completes a pending scheme swap in one critical section: `fresh` (a
+    /// Completes a pending scheme swap in one critical section: `blank` (a
     /// fork of the swapped-in base) becomes the shard's committed snapshot,
     /// the pre-swap snapshot is parked for the engine to collect, and the
     /// request is cleared. Until this commits, a replacement worker still
     /// starts from the *old* snapshot and redoes the swap — so the swap is
-    /// atomic with respect to worker death. The fresh and retired snapshots
-    /// are published to the query-snapshot slot under the new `version` in
-    /// the same critical section (after `failpoint("worker::publish")`), so
-    /// the engine never sees the request cleared before readers can see the
-    /// new version.
-    pub fn complete_swap(&self, version: u64, fresh: Arc<B>, failpoint: impl Fn(&'static str)) {
+    /// atomic with respect to worker death. Nothing is published here: the
+    /// engine publishes the whole swap in one step once every shard is done.
+    pub fn complete_swap(&self, blank: Arc<B>) {
         let mut inner = self.lock_always();
-        let retired = std::mem::replace(&mut inner.snapshot, Arc::clone(&fresh));
-        let retired_mass = std::mem::take(&mut inner.snapshot_mass);
-        inner.retired = Some(Arc::clone(&retired));
+        let retired = std::mem::replace(&mut inner.snapshot, blank);
+        inner.retired = Some(retired);
+        inner.snapshot_mass = 0;
         inner.swap_request = None;
-        failpoint("worker::publish");
-        self.slot
-            .publish_swap(version, fresh, retired_mass, retired);
         drop(inner);
         self.progress.notify_all();
     }
@@ -456,8 +447,8 @@ mod tests {
 
     fn channel(capacity: usize) -> ShardChannel<CountMinSketch> {
         let empty = Arc::new(CountMinSketch::new(64, 2, 1));
-        let slot = Arc::new(PublishedSlot::new(Arc::clone(&empty)));
-        ShardChannel::new(empty, capacity, slot)
+        let hub = Arc::new(SnapshotHub::new(Arc::clone(&empty), &empty, 1));
+        ShardChannel::new(empty, capacity, hub)
     }
 
     fn queued_mass(cell: &ShardChannel<CountMinSketch>) -> u64 {
@@ -489,7 +480,7 @@ mod tests {
                     match cell.next_event() {
                         WorkerEvent::Batch(b) => {
                             seen.push(b.data.mass);
-                            cell.commit(b, cell.snapshot().unwrap(), |_| {});
+                            cell.commit(b, cell.snapshot().unwrap(), 0, |_| {});
                         }
                         WorkerEvent::Shutdown => return seen,
                         _ => panic!("unexpected event"),
@@ -521,7 +512,7 @@ mod tests {
                                 continue;
                             }
                             masses.push((b.data.mass, b.attempts));
-                            cell.commit(b, cell.snapshot().unwrap(), |_| {});
+                            cell.commit(b, cell.snapshot().unwrap(), 0, |_| {});
                         }
                         WorkerEvent::Shutdown => return masses,
                         _ => panic!("unexpected event"),

@@ -19,15 +19,16 @@
 //! 3. it publishes the result as a **versioned [`TrainedScheme`] `Arc`**
 //!    and hot-swaps it into the live engine via
 //!    [`IngestEngine::swap_backend`]: workers drain their queues, retire
-//!    their pre-swap deltas through the fork/merge machinery, and re-fork
-//!    from the new scheme — no worker thread is stopped, and
-//!    [`crate::EngineStats::unaccounted_mass`] stays 0 across every swap.
+//!    their pre-swap deltas through the fork/merge machinery, and restart
+//!    from a blank fork of the new scheme — no worker thread is stopped,
+//!    and [`crate::EngineStats::unaccounted_mass`] stays 0 across every
+//!    swap.
 //!
-//! The new scheme's counters are seeded from the window
-//! (`include_prefix_counts`), so post-swap queries answer *recent* traffic
-//! — exactly the estimate a drifting workload wants — while the retired
-//! scheme (with every count it accumulated) is handed back through
-//! [`Retrainer::take_retired`].
+//! Like every [`OptHash`] build, the new scheme's counters are seeded from
+//! its training prefix, here the window, so post-swap queries answer
+//! *recent* traffic — exactly the estimate a drifting workload wants —
+//! while the retired scheme (with every count it accumulated) is handed
+//! back through [`Retrainer::take_retired`].
 
 use crate::engine::{EngineConfig, EngineStats, IngestEngine};
 use crate::error::EngineError;

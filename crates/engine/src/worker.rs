@@ -107,13 +107,13 @@ fn run_worker<B: SketchBackend>(
         faults.hit_at("worker::poll", Some(shard));
         match cell.next_event() {
             WorkerEvent::Shutdown => return,
-            WorkerEvent::Swap { version, base } => {
+            WorkerEvent::Swap(blank) => {
                 // A panic here (the `worker::swap` failpoint) escapes the
                 // loop and kills the worker *before* anything changed: the
                 // request is still pending, so the supervisor's replacement
                 // worker redoes the swap.
                 faults.hit_at("worker::swap", Some(shard));
-                cell.complete_swap(version, Arc::new(base.fork()), failpoint);
+                cell.complete_swap(blank);
             }
             WorkerEvent::Batch(batch) => {
                 let Some(committed) = cell.snapshot() else {
@@ -132,7 +132,7 @@ fn run_worker<B: SketchBackend>(
                         // it; the supervisor requeues it, so it is applied
                         // exactly once either way.
                         faults.hit_at("worker::before_commit", Some(shard));
-                        cell.commit(batch, Arc::new(copy), failpoint);
+                        cell.commit(batch, Arc::new(copy), shard, failpoint);
                     }
                     // The panic may have struck mid-update, so the copy is
                     // gone with it; the committed snapshot is untouched.

@@ -49,7 +49,6 @@ pub mod dataset;
 pub mod features;
 pub mod forest;
 pub mod logreg;
-pub mod metrics;
 
 pub use cart::{CartConfig, DecisionTree};
 pub use classifier::{Classifier, ClassifierKind, TrainedClassifier};
@@ -57,4 +56,3 @@ pub use dataset::Dataset;
 pub use features::{QueryFeatures, TextFeaturizer};
 pub use forest::{ForestConfig, RandomForest};
 pub use logreg::{LogRegConfig, LogisticRegression};
-pub use metrics::ConfusionMatrix;

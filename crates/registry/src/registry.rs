@@ -149,9 +149,15 @@ impl BackendSpec {
         }
     }
 
-    /// Bytes of a freshly built estimator of this spec.
+    /// Bytes of a freshly built estimator of this spec, computed from the
+    /// spec alone by the size function the sketch's `space_report` calls.
     pub fn grid_bytes(&self) -> usize {
-        self.build(0).space_report().total_bytes()
+        let report = match *self {
+            BackendSpec::CountMin { width, depth } => CountMinSketch::space_for(width, depth),
+            BackendSpec::CountSketch { width, depth } => CountSketch::space_for(width, depth),
+            BackendSpec::MisraGries { capacity } => MisraGries::space_for(capacity),
+        };
+        report.total_bytes()
     }
 }
 
@@ -313,6 +319,11 @@ impl std::error::Error for RegistryError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegistryConfig {
     /// Global byte budget across all tenants (`None` = ungoverned).
+    ///
+    /// Tenants are charged by the paper's Section 7.4 accounting, 4 bytes
+    /// per counter or stored ID ([`SpaceReport::total_bytes`]). That is not
+    /// heap memory: a Count-Min or Count Sketch grid allocates 2.0× its
+    /// charge, and a Misra–Gries summary about 4.25×.
     pub budget: Option<SpaceBudget>,
     /// Narrowest width the governor may fold a grid down to; once no
     /// tenant can fold further, the coldest is evicted.
@@ -849,6 +860,10 @@ mod tests {
             assert_eq!(spec.name(), name);
             // Display form re-parses to the same spec.
             assert_eq!(BackendSpec::parse(&spec.to_string()).unwrap(), spec);
+            assert_eq!(
+                spec.grid_bytes(),
+                spec.build(0).space_report().total_bytes()
+            );
         }
         assert_eq!(
             BackendSpec::parse("count-min").unwrap(),

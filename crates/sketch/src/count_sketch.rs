@@ -192,8 +192,14 @@ impl CountSketch {
 
     /// Itemized memory usage.
     pub fn space_report(&self) -> SpaceReport {
+        Self::space_for(self.width, self.depth)
+    }
+
+    /// Itemized memory usage of a `width × depth` sketch, without building
+    /// one.
+    pub fn space_for(width: usize, depth: usize) -> SpaceReport {
         SpaceReport {
-            counters: self.total_buckets(),
+            counters: width * depth,
             ..SpaceReport::default()
         }
     }

@@ -165,9 +165,15 @@ impl MisraGries {
     /// Itemized memory usage: each tracked element stores an ID and a
     /// counter, i.e. one stored ID plus one counter bucket.
     pub fn space_report(&self) -> SpaceReport {
+        Self::space_for(self.capacity)
+    }
+
+    /// Itemized memory usage of a summary tracking `capacity` elements,
+    /// without building one.
+    pub fn space_for(capacity: usize) -> SpaceReport {
         SpaceReport {
-            counters: self.capacity,
-            stored_ids: self.capacity,
+            counters: capacity,
+            stored_ids: capacity,
             ..SpaceReport::default()
         }
     }

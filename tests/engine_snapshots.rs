@@ -255,11 +255,12 @@ mod failpoints {
     }
 
     /// `flush()` and `swap_backend()` return only once the wait-free path
-    /// reflects them. A delay right before every slot publication holds
+    /// reflects them. A delay right before every commit's publication holds
     /// each worker between committing its snapshot and publishing it: a
-    /// worker that marked the batch (or the swap) done first would let the
-    /// engine return while readers still saw the previous snapshot — after
-    /// a swap, a torn mix of the new base and an old-scheme delta.
+    /// worker that marked the batch done first would let the engine return
+    /// while readers still saw the previous snapshot. A swap must likewise
+    /// be visible, as a whole, by the time `swap_backend()` returns — never
+    /// a torn mix of the new base and an old-scheme delta.
     #[test]
     fn flush_and_swap_return_only_after_their_publication() {
         let mut engine =
@@ -290,5 +291,62 @@ mod failpoints {
             "a returned swap must leave no old-scheme delta in the view"
         );
         assert_eq!(engine.query(&element(7)).estimate, 0.0);
+    }
+
+    /// A swap over a poisoned shard still publishes the whole new scheme:
+    /// the poisoned shard never completes its part of the swap, so a view
+    /// built from per-shard publications would pair the new base with that
+    /// shard's old-scheme delta. For `OptHash` such a merge panics ("same
+    /// training run"); for a linear sketch it silently mixes schemes. The
+    /// view must instead be the new scheme alone, and the synced path must
+    /// keep reporting the poisoned shard.
+    #[test]
+    fn a_swap_over_a_poisoned_shard_never_serves_a_torn_view() {
+        let scheme = |ids: std::ops::Range<u64>| {
+            let arrivals = ids.flat_map(|id| std::iter::repeat_n(id, 1 + id as usize % 7));
+            OptHashBuilder::new(8)
+                .lambda(1.0)
+                .solver(SolverKind::Dp)
+                .train_on_stream(&Stream::from_ids(arrivals))
+        };
+        let mut engine = IngestEngine::new(
+            scheme(0..50),
+            EngineConfig::with_shards(2).batch_capacity(8),
+        );
+        // Shard 0 commits and publishes its first batch, then its second
+        // commit panics inside the critical section and poisons the shard.
+        engine
+            .fault_injector()
+            .program("worker::checkpoint@0", FaultPlan::panic().on_hit(2));
+        for id in (0..400u64).map(|i| i % 50) {
+            match engine.ingest(&element(id)) {
+                Ok(()) | Err(EngineError::ShardPoisoned { shard: 0 }) => {}
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        }
+        assert_eq!(
+            engine.flush().unwrap_err(),
+            EngineError::ShardPoisoned { shard: 0 }
+        );
+
+        let new_scheme = scheme(0..80);
+        assert_eq!(
+            engine.swap_backend(new_scheme.clone()).unwrap_err(),
+            EngineError::ShardPoisoned { shard: 0 }
+        );
+        let stamp = engine.snapshot_stamp();
+        assert_eq!(stamp.scheme_version, 1);
+        assert_eq!(stamp.mass_accounted, 0, "no old-scheme mass in the view");
+        for id in 0..100u64 {
+            assert_eq!(
+                engine.query(&element(id)).estimate.to_bits(),
+                new_scheme.estimate(&element(id)).to_bits(),
+                "the view must be the new scheme alone at id {id}"
+            );
+        }
+        assert_eq!(
+            engine.query_synced(&element(3)).unwrap_err(),
+            EngineError::ShardPoisoned { shard: 0 }
+        );
     }
 }
