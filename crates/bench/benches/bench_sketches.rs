@@ -1,11 +1,10 @@
 //! Criterion micro-benchmarks for the sketch substrate: update and query
-//! throughput of the Count-Min Sketch (standard and conservative), the Count
-//! Sketch, the Learned Count-Min and the Bloom filter. These support the
-//! paper's constant-time update/query claims (Section 1) and the
-//! conservative-update ablation of DESIGN.md.
+//! throughput of the Count-Min Sketch, the Count Sketch, the Learned
+//! Count-Min and the Bloom filter. These support the paper's constant-time
+//! update/query claims (Section 1).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use opthash_sketch::{BloomFilter, CountMinSketch, CountSketch, LearnedCountMin, UpdatePolicy};
+use opthash_sketch::{BloomFilter, CountMinSketch, CountSketch, LearnedCountMin};
 use opthash_stream::ElementId;
 
 fn ids(n: usize) -> Vec<ElementId> {
@@ -37,18 +36,6 @@ fn bench_count_min(c: &mut Criterion) {
                 i += 1;
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("update_conservative", width),
-            &width,
-            |b, &w| {
-                let mut cms = CountMinSketch::with_policy(w, 4, 1, UpdatePolicy::Conservative);
-                let mut i = 0;
-                b.iter(|| {
-                    cms.add(keys[i % keys.len()], 1);
-                    i += 1;
-                });
-            },
-        );
     }
     group.finish();
 }

@@ -1,7 +1,5 @@
 //! Criterion benchmarks for the optimization layer: scaling of the `dp`,
-//! `bcd` and exact (`milp`) solvers with the number of elements and buckets,
-//! plus the DP-strategy ablation (quadratic vs divide-and-conquer) called out
-//! in DESIGN.md.
+//! `bcd` and exact (`milp`) solvers with the number of elements and buckets.
 //!
 //! After the criterion groups, `speedup_gate` re-measures the solver
 //! engineering pass end-to-end: an in-bench copy of the pre-pass BCD descent
@@ -12,7 +10,7 @@
 //! acceptance target on both.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use opthash_solver::kmedian::{kmedian_dp_with, ClusterCost, DpStrategy};
+use opthash_solver::kmedian::kmedian_dp;
 use opthash_solver::{BcdConfig, BcdSolver, ExactConfig, ExactSolver, HashingProblem};
 use opthash_stream::Features;
 use std::time::Instant;
@@ -49,48 +47,12 @@ fn features(n: usize, seed: u64) -> Vec<Features> {
 fn bench_dp(c: &mut Criterion) {
     let mut group = c.benchmark_group("kmedian_dp");
     group.sample_size(20);
-    // The strategy ablation runs under the median-deviation cost: that is
-    // the cost whose concave-Monge interval matrix makes divide-and-conquer
-    // sound, so it is the only cost where the two strategies genuinely
-    // differ (MeanAbs + DivideAndConquer falls back to the quadratic DP).
-    for &n in &[500usize, 2_000, 8_000] {
-        let values = frequencies(n, 3);
-        group.bench_with_input(BenchmarkId::new("divide_and_conquer", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(kmedian_dp_with(
-                    &values,
-                    32,
-                    ClusterCost::MedianAbs,
-                    DpStrategy::DivideAndConquer,
-                ))
-            });
-        });
-        if n <= 2_000 {
-            group.bench_with_input(BenchmarkId::new("quadratic", n), &n, |b, _| {
-                b.iter(|| {
-                    black_box(kmedian_dp_with(
-                        &values,
-                        32,
-                        ClusterCost::MedianAbs,
-                        DpStrategy::Quadratic,
-                    ))
-                });
-            });
-        }
-    }
     // The exact mean-deviation DP (the paper's estimation-error objective)
-    // is quadratic-only; benchmark it at sizes that path can afford.
+    // is quadratic; benchmark it at sizes that path can afford.
     for &n in &[500usize, 2_000] {
         let values = frequencies(n, 3);
         group.bench_with_input(BenchmarkId::new("mean_abs_exact", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(kmedian_dp_with(
-                    &values,
-                    32,
-                    ClusterCost::MeanAbs,
-                    DpStrategy::Quadratic,
-                ))
-            });
+            b.iter(|| black_box(kmedian_dp(&values, 32)));
         });
     }
     group.finish();
@@ -140,7 +102,7 @@ fn bench_exact(c: &mut Criterion) {
 /// baseline the ≥ 10× acceptance gate measures against; it is kept here, not
 /// in the library, so the shipped solver carries no dead code.
 mod legacy {
-    use opthash_solver::{HashingProblem, InitStrategy};
+    use opthash_solver::HashingProblem;
     use opthash_stream::Features;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -236,12 +198,7 @@ mod legacy {
         seed: u64,
         max_iterations: usize,
         tolerance: f64,
-        init: InitStrategy,
     ) -> f64 {
-        assert!(
-            matches!(init, InitStrategy::Random),
-            "bench uses random init"
-        );
         let mut best = f64::INFINITY;
         for restart in 0..restarts.max(1) {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(restart as u64));
@@ -351,7 +308,6 @@ fn speedup_gate(_c: &mut Criterion) {
                 config.seed,
                 config.max_iterations,
                 config.tolerance,
-                config.init,
             )));
             legacy_best = legacy_best.min(start.elapsed().as_secs_f64());
 

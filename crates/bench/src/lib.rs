@@ -2,8 +2,8 @@
 //!
 //! Shared utilities for the experiment binaries (`exp0`–`exp8`) that
 //! regenerate every figure and table of the paper, plus the Criterion
-//! micro-benchmarks. See `DESIGN.md` (per-experiment index) and
-//! `EXPERIMENTS.md` (paper-vs-measured) at the repository root.
+//! micro-benchmarks. The README section "Reproducing the paper's
+//! experiments" lists what each binary regenerates.
 //!
 //! Each experiment binary prints the series its figure plots — one row per
 //! x-value, one column per method — and writes the same rows as CSV under

@@ -31,11 +31,10 @@ use opthash_stream::{FrequencyEstimator, StreamElement};
 /// per-arrival processing would route it. Only [`OptHash`], whose
 /// classifier routes unstored elements, can observe the difference.
 ///
-/// For the linear backends ([`CountMinSketch`] with the standard update
-/// policy, [`CountSketch`], [`LearnedCountMin`], [`OptHash`]), fork +
-/// ingest + merge over any partition of a stream is bit-identical to the
-/// sequentially built estimator. A conservative-update Count-Min is
-/// order-dependent: its merged results may differ from sequential ones.
+/// Every backend ([`CountMinSketch`], [`CountSketch`], [`LearnedCountMin`],
+/// [`OptHash`]) is linear in the counts, so fork + ingest + merge over any
+/// partition of a stream is bit-identical to the sequentially built
+/// estimator.
 ///
 /// # Why `Clone`?
 ///

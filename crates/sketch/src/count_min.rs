@@ -6,30 +6,17 @@
 //! never under-counts, and with probability `1 − e^{-depth}` the
 //! over-estimate is at most `(e/width)·‖f‖₁`.
 //!
-//! The optional [`UpdatePolicy::Conservative`] variant only increments the
-//! counters that currently equal the minimum; it is a standard accuracy
-//! optimization and is used as an ablation in the benchmark harness.
+//! The sketch is a linear map of the frequency vector: every update adds to
+//! one counter per row, so merging and folding are exact.
 
 use crate::hashing::HashFamily;
 use opthash_stream::{ElementId, FrequencyEstimator, SpaceReport, StreamElement};
-
-/// How counter updates are applied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdatePolicy {
-    /// Increment every level's counter (the textbook Count-Min update).
-    #[default]
-    Standard,
-    /// Conservative update: only increment counters currently equal to the
-    /// minimum estimate. Still never under-estimates, but over-estimates less.
-    Conservative,
-}
 
 /// The Count-Min Sketch.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
     width: usize,
     depth: usize,
-    policy: UpdatePolicy,
     hashes: HashFamily,
     /// Row-major `depth × width` counter grid.
     counters: Vec<u64>,
@@ -41,18 +28,12 @@ impl CountMinSketch {
     /// Creates a sketch with the given `width` (buckets per level) and
     /// `depth` (number of levels), seeded for reproducible hashing.
     pub fn new(width: usize, depth: usize, seed: u64) -> Self {
-        Self::with_policy(width, depth, seed, UpdatePolicy::Standard)
-    }
-
-    /// Creates a sketch with an explicit [`UpdatePolicy`].
-    pub fn with_policy(width: usize, depth: usize, seed: u64, policy: UpdatePolicy) -> Self {
         assert!(width > 0, "width must be positive");
         assert!(depth > 0, "depth must be positive");
         let cells = width.checked_mul(depth).expect("grid size overflows usize");
         CountMinSketch {
             width,
             depth,
-            policy,
             hashes: HashFamily::new(depth, width, seed),
             counters: vec![0; cells],
             total_updates: 0,
@@ -102,38 +83,20 @@ impl CountMinSketch {
             return;
         }
         self.total_updates += count;
-        match self.policy {
-            UpdatePolicy::Standard => {
-                for level in 0..self.depth {
-                    let b = self.hashes.hash(level, id.raw());
-                    let cell = self.cell(level, b);
-                    self.counters[cell] += count;
-                }
-            }
-            UpdatePolicy::Conservative => {
-                let current = self.query(id);
-                let target = current + count;
-                for level in 0..self.depth {
-                    let b = self.hashes.hash(level, id.raw());
-                    let cell = self.cell(level, b);
-                    if self.counters[cell] < target {
-                        self.counters[cell] = target;
-                    }
-                }
-            }
+        for level in 0..self.depth {
+            let b = self.hashes.hash(level, id.raw());
+            let cell = self.cell(level, b);
+            self.counters[cell] += count;
         }
     }
 
     /// Adds a pre-aggregated batch of weighted updates, level by level.
     ///
-    /// For the standard policy the final state is identical to calling
-    /// [`CountMinSketch::add`] per entry (each cell receives the same sum),
-    /// but the row-major order keeps one `width`-counter row cache-resident
-    /// across the whole batch instead of striding all `depth` rows per
-    /// update, and hoists the level's hash coefficients out of the inner
-    /// loop. The conservative policy is order-dependent across rows (each
-    /// update needs the cross-row minimum first), so it falls back to the
-    /// sequential per-update loop.
+    /// The final state is identical to calling [`CountMinSketch::add`] per
+    /// entry (each cell receives the same sum), but the row-major order
+    /// keeps one `width`-counter row cache-resident across the whole batch
+    /// instead of striding all `depth` rows per update, and hoists the
+    /// level's hash coefficients out of the inner loop.
     ///
     /// The iterator must be `Clone` because it is replayed once per level.
     /// Zero-count entries are skipped, matching [`CountMinSketch::add`].
@@ -141,33 +104,24 @@ impl CountMinSketch {
     where
         I: Iterator<Item = (ElementId, u64)> + Clone,
     {
-        match self.policy {
-            UpdatePolicy::Standard => {
-                // Settle the batch mass in its own pass: folding it into a
-                // level loop would commit only the last level's sum — and
-                // nothing at all at depth 0.
-                let mut mass = 0u64;
-                for (_, count) in updates.clone() {
-                    mass += count;
+        // Settle the batch mass in its own pass: folding it into a level
+        // loop would commit only the last level's sum — and nothing at all
+        // at depth 0.
+        let mut mass = 0u64;
+        for (_, count) in updates.clone() {
+            mass += count;
+        }
+        for level in 0..self.depth {
+            let hash = self.hashes.function(level).clone();
+            let row = &mut self.counters[level * self.width..(level + 1) * self.width];
+            for (id, count) in updates.clone() {
+                if count == 0 {
+                    continue;
                 }
-                for level in 0..self.depth {
-                    let hash = self.hashes.function(level).clone();
-                    let row = &mut self.counters[level * self.width..(level + 1) * self.width];
-                    for (id, count) in updates.clone() {
-                        if count == 0 {
-                            continue;
-                        }
-                        row[hash.hash(id.raw())] += count;
-                    }
-                }
-                self.total_updates += mass;
-            }
-            UpdatePolicy::Conservative => {
-                for (id, count) in updates {
-                    self.add(id, count);
-                }
+                row[hash.hash(id.raw())] += count;
             }
         }
+        self.total_updates += mass;
     }
 
     /// Point query: minimum counter over all levels.
@@ -181,30 +135,26 @@ impl CountMinSketch {
             .unwrap_or(0)
     }
 
-    /// Creates a sketch with the same dimensions, hash functions and update
-    /// policy but every counter zeroed — the shard-local state used by the
-    /// sharded ingest engine. `O(width · depth)`.
+    /// Creates a sketch with the same dimensions and hash functions but
+    /// every counter zeroed — the shard-local state used by the sharded
+    /// ingest engine. `O(width · depth)`.
     pub fn clone_empty(&self) -> Self {
         CountMinSketch {
             width: self.width,
             depth: self.depth,
-            policy: self.policy,
             hashes: self.hashes.clone(),
             counters: vec![0; self.width * self.depth],
             total_updates: 0,
         }
     }
 
-    /// Merges another sketch of the *same configuration* (dimensions, seed
-    /// and policy) into this one by element-wise counter addition.
+    /// Merges another sketch of the *same configuration* (dimensions and
+    /// seed) into this one by element-wise counter addition.
     /// `O(width · depth)`.
     ///
-    /// For [`UpdatePolicy::Standard`] the sketch is a linear transform of the
-    /// frequency vector, so merging sketches built over disjoint sub-streams
-    /// yields exactly the sketch of the concatenated stream. For
-    /// [`UpdatePolicy::Conservative`] addition still never under-estimates,
-    /// but the merged sketch may over-estimate more than a sequentially
-    /// built one (conservative updates do not commute).
+    /// The sketch is a linear transform of the frequency vector, so merging
+    /// sketches built over disjoint sub-streams yields exactly the sketch of
+    /// the concatenated stream.
     ///
     /// # Panics
     ///
@@ -212,10 +162,7 @@ impl CountMinSketch {
     /// functions.
     pub fn merge(&mut self, other: &CountMinSketch) {
         assert!(
-            self.width == other.width
-                && self.depth == other.depth
-                && self.policy == other.policy
-                && self.hashes == other.hashes,
+            self.width == other.width && self.depth == other.depth && self.hashes == other.hashes,
             "can only merge Count-Min sketches of identical configuration"
         );
         for (c, &o) in self.counters.iter_mut().zip(&other.counters) {
@@ -231,12 +178,10 @@ impl CountMinSketch {
     ///
     /// Because `(h mod width) mod new_width = h mod new_width` whenever
     /// `new_width | width`, the folded sketch is **exactly** the sketch that
-    /// the same update stream would have produced at `new_width` directly
-    /// (for [`UpdatePolicy::Standard`]; conservative updates are nonlinear,
-    /// so a folded conservative sketch may over-estimate more than a
-    /// directly-built one, but still never under-estimates). No counted mass
-    /// is lost — [`CountMinSketch::total_updates`] is unchanged — only
-    /// precision: the error bound widens from `e/width` to `e/new_width`.
+    /// the same update stream would have produced at `new_width` directly.
+    /// No counted mass is lost — [`CountMinSketch::total_updates`] is
+    /// unchanged — only precision: the error bound widens from `e/width` to
+    /// `e/new_width`.
     ///
     /// This is the memory-governor's degradation primitive: a cold
     /// estimator's footprint halves (or better) in `O(width · depth)` time
@@ -348,27 +293,6 @@ mod tests {
         for (id, f) in truth.iter() {
             assert!(cms.query(id) >= f, "under-estimate for {id}");
         }
-    }
-
-    #[test]
-    fn conservative_update_never_underestimates_and_is_tighter() {
-        let stream = zipf_stream(300, 8_000, 5);
-        let truth = FrequencyVector::from_stream(&stream);
-        let mut std_cms = CountMinSketch::with_policy(32, 3, 1, UpdatePolicy::Standard);
-        let mut cons_cms = CountMinSketch::with_policy(32, 3, 1, UpdatePolicy::Conservative);
-        std_cms.update_stream(&stream);
-        cons_cms.update_stream(&stream);
-        let mut std_err = 0.0;
-        let mut cons_err = 0.0;
-        for (id, f) in truth.iter() {
-            assert!(cons_cms.query(id) >= f);
-            std_err += (std_cms.query(id) - f) as f64;
-            cons_err += (cons_cms.query(id) - f) as f64;
-        }
-        assert!(
-            cons_err <= std_err,
-            "conservative update should not be worse: {cons_err} vs {std_err}"
-        );
     }
 
     #[test]
@@ -485,35 +409,13 @@ mod tests {
 
     #[test]
     fn clone_empty_preserves_configuration_and_zeroes_state() {
-        let mut original = CountMinSketch::with_policy(32, 3, 7, UpdatePolicy::Conservative);
+        let mut original = CountMinSketch::new(32, 3, 7);
         original.add(ElementId(1), 5);
         let empty = original.clone_empty();
         assert_eq!(empty.width(), 32);
         assert_eq!(empty.depth(), 3);
         assert_eq!(empty.total_updates(), 0);
         assert_eq!(empty.query(ElementId(1)), 0);
-    }
-
-    #[test]
-    fn conservative_merge_never_underestimates() {
-        let stream = zipf_stream(200, 5_000, 9);
-        let truth = FrequencyVector::from_stream(&stream);
-        let base = CountMinSketch::with_policy(48, 3, 2, UpdatePolicy::Conservative);
-        let mut merged = base.clone();
-        let mut low = base.clone_empty();
-        let mut high = base.clone_empty();
-        for arrival in stream.iter() {
-            if arrival.id.raw() < 100 {
-                low.add(arrival.id, 1);
-            } else {
-                high.add(arrival.id, 1);
-            }
-        }
-        merged.merge(&low);
-        merged.merge(&high);
-        for (id, f) in truth.iter() {
-            assert!(merged.query(id) >= f, "under-estimate for {id}");
-        }
     }
 
     #[test]

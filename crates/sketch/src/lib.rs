@@ -4,7 +4,7 @@
 //! paper's evaluation:
 //!
 //! * [`CountMinSketch`] — the conventional Count-Min Sketch (`count-min`
-//!   baseline, Section 2.1), with an optional conservative-update ablation,
+//!   baseline, Section 2.1),
 //! * [`CountSketch`] — the Count Sketch (median-of-signed-counters estimator,
 //!   referenced in Section 1.1),
 //! * [`LearnedCountMin`] — the Learned Count-Min Sketch with an ideal
@@ -45,7 +45,7 @@ pub mod learned_cms;
 pub mod misra_gries;
 
 pub use bloom::BloomFilter;
-pub use count_min::{CountMinSketch, UpdatePolicy};
+pub use count_min::CountMinSketch;
 pub use count_sketch::CountSketch;
 pub use hashing::{HashFamily, PairwiseHash, SignHash};
 pub use learned_cms::LearnedCountMin;

@@ -7,8 +7,8 @@
 //! candidate instead of a from-scratch recompute) and greedily commits the
 //! best strictly-improving move. Sweeps repeat until the objective
 //! improvement drops below a tolerance or an iteration cap is reached, and
-//! the whole process can be restarted from multiple initial assignments
-//! (Section 4.3).
+//! the whole process can be restarted from multiple uniformly random initial
+//! assignments (Section 4.3).
 //!
 //! Multi-start runs are managed SAT-solver style: a calibrated fast/slow EMA
 //! pair ([`crate::progress::Ema2`]) tracks how fast the per-sweep improvement
@@ -23,7 +23,6 @@
 //! same seed.
 
 use crate::incremental::{IncrementalObjective, PairwiseDistances, PAIR_CACHE_LIMIT};
-use crate::kmedian::{kmedian_dp_with, ClusterCost, DpStrategy};
 use crate::problem::{HashingProblem, HashingSolution, SolverStats};
 use crate::progress::Ema2;
 use rand::rngs::StdRng;
@@ -36,24 +35,6 @@ const EMA_FAST_WINDOW: usize = 3;
 /// Slow EMA window (sweeps) for the stagnation check.
 const EMA_SLOW_WINDOW: usize = 12;
 
-/// How the initial assignment of elements to buckets is produced
-/// (Section 4.3 discusses all four options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitStrategy {
-    /// Uniformly random bucket per element.
-    #[default]
-    Random,
-    /// Sort elements by observed frequency and split them into `b`
-    /// equally-sized consecutive chunks.
-    SortedSplit,
-    /// Give the heaviest elements their own bucket (one each, up to `b − 1`
-    /// of them) and spread the rest over the remaining bucket(s) randomly —
-    /// the heavy-hitter heuristic.
-    HeavyHitter,
-    /// Warm-start from the exact `λ = 1` dynamic program (Section 4.4).
-    DpWarmStart,
-}
-
 /// Configuration of the block coordinate descent solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BcdConfig {
@@ -61,8 +42,6 @@ pub struct BcdConfig {
     pub max_iterations: usize,
     /// Terminate a restart once the objective improves by less than this.
     pub tolerance: f64,
-    /// Initialization strategy.
-    pub init: InitStrategy,
     /// Number of independent restarts; the best solution is returned.
     pub restarts: usize,
     /// RNG seed (restart `r` uses `seed + r`).
@@ -71,7 +50,7 @@ pub struct BcdConfig {
     /// available: callers that hold a previous [`HashingSolution`] (the
     /// online re-trainer in `opthash-engine`) route through
     /// [`BcdSolver::solve_warm`] when this is set, seeding restart 0 with the
-    /// incumbent instead of the configured [`InitStrategy`]. Plain
+    /// incumbent instead of a random assignment. Plain
     /// [`BcdSolver::solve`] ignores the flag (it has no incumbent).
     pub warm_start: bool,
     /// Minimum number of sweeps a restart must run before the EMA stagnation
@@ -85,7 +64,6 @@ impl Default for BcdConfig {
         BcdConfig {
             max_iterations: 50,
             tolerance: 1e-6,
-            init: InitStrategy::Random,
             restarts: 1,
             seed: 0,
             warm_start: false,
@@ -166,60 +144,6 @@ impl BcdSolver {
         &self.config
     }
 
-    /// Produces an initial assignment according to the configured strategy.
-    pub fn initial_assignment(&self, problem: &HashingProblem, rng: &mut StdRng) -> Vec<usize> {
-        let n = problem.len();
-        let b = problem.buckets;
-        match self.config.init {
-            InitStrategy::Random => (0..n).map(|_| rng.gen_range(0..b)).collect(),
-            InitStrategy::SortedSplit => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(|&x, &y| {
-                    problem.frequencies[x]
-                        .partial_cmp(&problem.frequencies[y])
-                        .unwrap()
-                });
-                let chunk = n.div_ceil(b).max(1);
-                let mut assignment = vec![0usize; n];
-                for (rank, &i) in order.iter().enumerate() {
-                    assignment[i] = (rank / chunk).min(b - 1);
-                }
-                assignment
-            }
-            InitStrategy::HeavyHitter => {
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(|&x, &y| {
-                    problem.frequencies[y]
-                        .partial_cmp(&problem.frequencies[x])
-                        .unwrap()
-                });
-                let own_buckets = (b - 1).min(n);
-                let mut assignment = vec![0usize; n];
-                for (rank, &i) in order.iter().enumerate() {
-                    if rank < own_buckets {
-                        assignment[i] = rank;
-                    } else if own_buckets < b {
-                        assignment[i] = rng.gen_range(own_buckets..b);
-                    } else {
-                        assignment[i] = rng.gen_range(0..b);
-                    }
-                }
-                assignment
-            }
-            InitStrategy::DpWarmStart => {
-                kmedian_dp_with(
-                    &problem.frequencies,
-                    b,
-                    // Use the mean-absolute-deviation cost so the warm start is
-                    // exactly the solution `solve_frequency_only` would return.
-                    ClusterCost::MeanAbs,
-                    DpStrategy::DivideAndConquer,
-                )
-                .assignment
-            }
-        }
-    }
-
     /// Runs block coordinate descent and returns the best solution across
     /// restarts.
     pub fn solve(&self, problem: &HashingProblem) -> HashingSolution {
@@ -229,8 +153,8 @@ impl BcdSolver {
     /// Runs block coordinate descent warm-started from `initial`: restart 0
     /// descends from the given assignment (bucket indices are clamped into
     /// the problem's range, so an incumbent solved for more buckets still
-    /// seeds legally) and any further restarts use the configured
-    /// [`InitStrategy`] as usual. `initial` must have one entry per problem
+    /// seeds legally) and any further restarts start from random
+    /// assignments as usual. `initial` must have one entry per problem
     /// element — callers re-solving after the element set changed map their
     /// incumbent onto the new universe first.
     pub fn solve_from(&self, problem: &HashingProblem, initial: &[usize]) -> HashingSolution {
@@ -289,7 +213,7 @@ impl BcdSolver {
             let assignment = match warm.take() {
                 // Restart 0 descends from the incumbent.
                 Some(initial) => initial,
-                None => self.initial_assignment(problem, &mut rng),
+                None => random_assignment(problem, &mut rng),
             };
             let result = self.descend(
                 problem,
@@ -451,6 +375,14 @@ impl BcdSolver {
     }
 }
 
+/// A uniformly random bucket for every element: the start of each restart
+/// that has no incumbent.
+fn random_assignment(problem: &HashingProblem, rng: &mut StdRng) -> Vec<usize> {
+    (0..problem.len())
+        .map(|_| rng.gen_range(0..problem.buckets))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,10 +420,12 @@ mod tests {
     fn objective_never_worse_than_initial_assignment() {
         let p = clustered_problem(0.5);
         let solver = BcdSolver::with_defaults();
-        let mut rng = StdRng::seed_from_u64(3);
-        let init = solver.initial_assignment(&p, &mut rng);
+        // Restart 0 seeds its RNG with `seed + 0` and starts from this draw.
+        let mut rng = StdRng::seed_from_u64(solver.config().seed);
+        let init = random_assignment(&p, &mut rng);
         let init_obj = p.objective(&init);
         let sol = solver.solve(&p);
+        assert!((sol.stats.initial_objective - init_obj).abs() < 1e-9);
         assert!(
             sol.objective <= init_obj + 1e-9,
             "bcd {} worse than init {init_obj}",
@@ -518,63 +452,6 @@ mod tests {
             dp.estimation_error
         );
         assert!(bcd.estimation_error + 1e-9 >= dp.estimation_error * 0.9);
-    }
-
-    #[test]
-    fn all_init_strategies_produce_valid_assignments() {
-        let p = clustered_problem(0.7);
-        for init in [
-            InitStrategy::Random,
-            InitStrategy::SortedSplit,
-            InitStrategy::HeavyHitter,
-            InitStrategy::DpWarmStart,
-        ] {
-            let solver = BcdSolver::new(BcdConfig {
-                init,
-                ..BcdConfig::default()
-            });
-            let mut rng = StdRng::seed_from_u64(1);
-            let a = solver.initial_assignment(&p, &mut rng);
-            assert_eq!(a.len(), p.len());
-            assert!(a.iter().all(|&j| j < p.buckets), "{init:?} out of range");
-            let sol = solver.solve(&p);
-            assert_eq!(sol.assignment.len(), p.len());
-        }
-    }
-
-    #[test]
-    fn heavy_hitter_init_isolates_heaviest_elements() {
-        let frequencies = vec![1.0, 2.0, 3.0, 1000.0, 900.0];
-        let p = HashingProblem::frequency_only(frequencies, 3);
-        let solver = BcdSolver::new(BcdConfig {
-            init: InitStrategy::HeavyHitter,
-            ..BcdConfig::default()
-        });
-        let mut rng = StdRng::seed_from_u64(0);
-        let a = solver.initial_assignment(&p, &mut rng);
-        // heaviest two get buckets 0 and 1, the rest go to bucket 2
-        assert_eq!(a[3], 0);
-        assert_eq!(a[4], 1);
-        for &light in &a[0..3] {
-            assert_eq!(light, 2);
-        }
-    }
-
-    #[test]
-    fn sorted_split_init_balances_bucket_sizes() {
-        let frequencies: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let p = HashingProblem::frequency_only(frequencies, 3);
-        let solver = BcdSolver::new(BcdConfig {
-            init: InitStrategy::SortedSplit,
-            ..BcdConfig::default()
-        });
-        let mut rng = StdRng::seed_from_u64(0);
-        let a = solver.initial_assignment(&p, &mut rng);
-        let mut sizes = vec![0usize; 3];
-        for &j in &a {
-            sizes[j] += 1;
-        }
-        assert_eq!(sizes, vec![4, 4, 4]);
     }
 
     #[test]

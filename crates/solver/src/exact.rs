@@ -2,9 +2,9 @@
 //!
 //! The paper solves Problem (1) to optimality by linearizing it into the
 //! mixed-integer linear program of Theorem 1 and handing it to Gurobi. This
-//! workspace has no commercial MILP solver, so — as documented in DESIGN.md —
-//! we solve the *same* problem exactly with a specialized branch-and-bound
-//! over element→bucket assignments:
+//! workspace has no commercial MILP solver, so we solve the *same* problem
+//! exactly with a specialized branch-and-bound over element→bucket
+//! assignments:
 //!
 //! * elements are branched on in decreasing order of observed frequency,
 //! * a canonical-labeling rule (an element may only open the first unused

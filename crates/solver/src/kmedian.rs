@@ -1,99 +1,52 @@
 //! Exact dynamic programming for the `λ = 1` case (Problem (3)).
 //!
 //! With `λ = 1` the hashing objective reduces to partitioning the observed
-//! frequencies into `b` groups so that the within-group absolute deviation is
-//! minimized — a one-dimensional k-median clustering problem (Section 4.4).
-//! For an L1 deviation measured from the group's *median*, an optimal
-//! partition is always contiguous in sorted order, which allows dynamic
-//! programming over sorted prefixes; the paper points to `Ckmeans.1d.dp` and
-//! to the `O(nb)` matrix-searching method of Wu (1991).
+//! frequencies into `b` groups so that the within-group absolute deviation
+//! from the group's **mean** — the estimation-error term of Problem (1) — is
+//! minimized, a one-dimensional clustering problem (Section 4.4). The DP
+//! runs over sorted prefixes, so it is exact over partitions that are
+//! contiguous in sorted order (ties may still split between groups).
 //!
-//! This module implements:
-//!
-//! * a quadratic reference DP (`O(n²·b)`), and
-//! * a divide-and-conquer DP (`O(n·b·log n)`) exploiting the monotonicity of
-//!   the optimal split points (the cost matrix is concave-Monge),
-//!
-//! both returning provably optimal partitions for the chosen
-//! [`ClusterCost`]. Two costs are supported: deviation from the cluster
-//! **median** (the classical k-median objective the paper's `dp` baseline
-//! optimizes) and deviation from the cluster **mean** (the exact term the
-//! estimation error of Problem (1) charges). They usually coincide on the
-//! integer frequency data of the experiments; both are exposed so the
-//! benchmark harness can report either.
-//!
-//! [`solve_equal_counts`] is the exact case that needs no table: when there
-//! are no more distinct values than clusters, equal values share a cluster
-//! at zero cost, and one stable sort reproduces the DP's assignment.
+//! [`kmedian_dp`] is the `O(n²·b)` table, pruned by the monotonicity of the
+//! prefix costs. [`solve_equal_counts`] is the exact case that needs no
+//! table: when there are no more distinct values than clusters, equal values
+//! share a cluster at zero cost, and one stable sort reproduces the DP's
+//! assignment.
 
 use crate::problem::{HashingProblem, HashingSolution, SolverStats};
 use std::time::Instant;
 
-/// Which within-cluster deviation the DP minimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClusterCost {
-    /// `Σ |x_i − median|` — the classical 1-D k-median objective, matching
-    /// the paper's `dp` solver (Ckmeans.1d.dp).
-    #[default]
-    MedianAbs,
-    /// `Σ |x_i − mean|` — the exact estimation-error term of Problem (1).
-    MeanAbs,
-}
-
-/// Which DP strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DpStrategy {
-    /// Divide-and-conquer over split points, `O(n·b·log n)`.
-    ///
-    /// Sound only when the optimal split points are monotone, which the
-    /// concave-Monge property of the interval cost guarantees for
-    /// [`ClusterCost::MedianAbs`]. The mean-deviation cost can violate that
-    /// property, so for [`ClusterCost::MeanAbs`] the solver silently falls
-    /// back to [`DpStrategy::Quadratic`] to stay exact.
-    #[default]
-    DivideAndConquer,
-    /// Plain quadratic DP, `O(n²·b)`; kept as a reference implementation and
-    /// as the exact path for the mean-deviation cost.
-    Quadratic,
-}
-
-/// Result of the k-median DP.
+/// Result of the clustering DP.
 #[derive(Debug, Clone)]
 pub struct KMedianResult {
     /// Cluster index of each input value, in the original input order.
     /// Clusters are numbered by increasing value range.
     pub assignment: Vec<usize>,
-    /// Optimal total within-cluster deviation under the chosen cost.
+    /// Optimal total within-cluster deviation from the cluster means.
     pub cost: f64,
     /// Number of clusters used: always `min(k, n)`, since every cluster of
     /// the DP holds at least one value.
     pub clusters_used: usize,
     /// DP cells evaluated (candidate `(split, prefix)` pairs scored). The
-    /// monotonicity pruning of the quadratic strategy and the shrinking
-    /// argmin windows of divide-and-conquer both show up directly in this
-    /// counter.
+    /// monotonicity pruning shows up directly in this counter.
     pub cells_evaluated: u64,
 }
 
-/// Precomputed prefix sums over the sorted values, giving O(1) range costs.
+/// Precomputed prefix sums over the sorted values, giving range costs in
+/// `O(log n)`.
 struct RangeCost<'a> {
     sorted: &'a [f64],
     prefix: Vec<f64>,
-    cost: ClusterCost,
 }
 
 impl<'a> RangeCost<'a> {
-    fn new(sorted: &'a [f64], cost: ClusterCost) -> Self {
+    fn new(sorted: &'a [f64]) -> Self {
         let mut prefix = Vec::with_capacity(sorted.len() + 1);
         prefix.push(0.0);
         for &v in sorted {
             prefix.push(prefix.last().unwrap() + v);
         }
-        RangeCost {
-            sorted,
-            prefix,
-            cost,
-        }
+        RangeCost { sorted, prefix }
     }
 
     #[inline]
@@ -102,69 +55,35 @@ impl<'a> RangeCost<'a> {
         self.prefix[r + 1] - self.prefix[l]
     }
 
-    /// Total absolute deviation of the sorted slice `l..=r` from its center.
+    /// Total absolute deviation of the sorted slice `l..=r` from its mean.
     fn range_cost(&self, l: usize, r: usize) -> f64 {
         if l >= r {
             return 0.0;
         }
-        match self.cost {
-            ClusterCost::MedianAbs => {
-                let m = l + (r - l) / 2;
-                let median = self.sorted[m];
-                let left = if m == l {
-                    0.0
-                } else {
-                    median * ((m - l) as f64) - self.range_sum(l, m - 1)
-                };
-                let right = if m == r {
-                    0.0
-                } else {
-                    self.range_sum(m + 1, r) - median * ((r - m) as f64)
-                };
-                left + right
-            }
-            ClusterCost::MeanAbs => {
-                let count = (r - l + 1) as f64;
-                let mean = self.range_sum(l, r) / count;
-                // Values are sorted: find the first index > mean by binary
-                // search within [l, r].
-                let slice = &self.sorted[l..=r];
-                let split = slice.partition_point(|&v| v <= mean);
-                let below = split as f64;
-                let above = count - below;
-                let below_sum = if split == 0 {
-                    0.0
-                } else {
-                    self.range_sum(l, l + split - 1)
-                };
-                let above_sum = self.range_sum(l, r) - below_sum;
-                (mean * below - below_sum) + (above_sum - mean * above)
-            }
-        }
+        let count = (r - l + 1) as f64;
+        let mean = self.range_sum(l, r) / count;
+        // Values are sorted: find the first index > mean by binary search
+        // within [l, r].
+        let slice = &self.sorted[l..=r];
+        let split = slice.partition_point(|&v| v <= mean);
+        let below = split as f64;
+        let above = count - below;
+        let below_sum = if split == 0 {
+            0.0
+        } else {
+            self.range_sum(l, l + split - 1)
+        };
+        let above_sum = self.range_sum(l, r) - below_sum;
+        (mean * below - below_sum) + (above_sum - mean * above)
     }
 }
 
-/// Solves the 1-D k-median problem exactly.
+/// Partitions `values` into `min(k, n)` clusters, contiguous in sorted
+/// order, minimizing the total absolute deviation from the cluster means.
 ///
 /// `values` may be in any order; the returned assignment is reported in the
 /// same order. `k` is clamped to `values.len()`; `k = 0` is rejected.
 pub fn kmedian_dp(values: &[f64], k: usize) -> KMedianResult {
-    kmedian_dp_with(
-        values,
-        k,
-        ClusterCost::MedianAbs,
-        DpStrategy::DivideAndConquer,
-    )
-}
-
-/// Solves the 1-D clustering problem exactly with an explicit cost and
-/// strategy.
-pub fn kmedian_dp_with(
-    values: &[f64],
-    k: usize,
-    cost: ClusterCost,
-    strategy: DpStrategy,
-) -> KMedianResult {
     assert!(k > 0, "k must be positive");
     assert!(
         values.iter().all(|v| v.is_finite()),
@@ -181,20 +100,11 @@ pub fn kmedian_dp_with(
     }
     let k = k.min(n);
 
-    // Divide-and-conquer assumes monotone optimal split points, which holds
-    // for the median-deviation cost (its interval-cost matrix is
-    // concave-Monge) but not in general for deviation about the mean. Fall
-    // back to the exact quadratic DP in that combination.
-    let strategy = match (cost, strategy) {
-        (ClusterCost::MeanAbs, DpStrategy::DivideAndConquer) => DpStrategy::Quadratic,
-        _ => strategy,
-    };
-
     // Sort, remembering the original positions.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap());
     let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
-    let rc = RangeCost::new(&sorted, cost);
+    let rc = RangeCost::new(&sorted);
 
     // dp[i] = optimal cost of clustering sorted[0..=i] with the current
     // number of clusters; split[j·n + i] = last cluster's start for
@@ -203,80 +113,35 @@ pub fn kmedian_dp_with(
     let mut dp_cur = vec![0.0f64; n];
     let mut split = vec![0usize; k * n];
     let mut cells = n as u64;
-    // Work stack for the divide-and-conquer strategy, allocated once and
-    // reused across every cluster row: (lo, hi, opt_lo, opt_hi).
-    let mut stack: Vec<(usize, usize, usize, usize)> = Vec::new();
 
     for j in 1..k {
         let split_row = &mut split[j * n..(j + 1) * n];
-        match strategy {
-            DpStrategy::Quadratic => {
-                for i in 0..n {
-                    if i < j {
-                        // fewer points than clusters: zero cost, each its own
-                        dp_cur[i] = 0.0;
-                        split_row[i] = i;
-                        continue;
-                    }
-                    let mut best = f64::INFINITY;
-                    let mut best_m = j;
-                    // dp_prev is non-decreasing in the prefix length (adding
-                    // the largest element of a sorted prefix never lowers the
-                    // optimal cost), so once dp_prev[m−1] alone reaches the
-                    // best candidate no later split can win.
-                    for m in j..=i {
-                        if dp_prev[m - 1] >= best {
-                            break;
-                        }
-                        cells += 1;
-                        let c = dp_prev[m - 1] + rc.range_cost(m, i);
-                        if c < best {
-                            best = c;
-                            best_m = m;
-                        }
-                    }
-                    dp_cur[i] = best;
-                    split_row[i] = best_m;
+        for i in 0..n {
+            if i < j {
+                // fewer points than clusters: zero cost, each its own
+                dp_cur[i] = 0.0;
+                split_row[i] = i;
+                continue;
+            }
+            let mut best = f64::INFINITY;
+            let mut best_m = j;
+            // dp_prev is non-decreasing in the prefix length (adding the
+            // largest element of a sorted prefix never lowers the optimal
+            // cost), so once dp_prev[m−1] alone reaches the best candidate
+            // no later split can win.
+            for m in j..=i {
+                if dp_prev[m - 1] >= best {
+                    break;
+                }
+                cells += 1;
+                let c = dp_prev[m - 1] + rc.range_cost(m, i);
+                if c < best {
+                    best = c;
+                    best_m = m;
                 }
             }
-            DpStrategy::DivideAndConquer => {
-                // Fill dp_cur[lo..=hi] knowing the optimal split index lies
-                // in [opt_lo, opt_hi] (monotonicity of argmin), iteratively
-                // on the hoisted work stack.
-                stack.clear();
-                stack.push((0, n - 1, 1, n - 1));
-                while let Some((lo, hi, opt_lo, opt_hi)) = stack.pop() {
-                    let mid = lo + (hi - lo) / 2;
-                    if mid < j {
-                        dp_cur[mid] = 0.0;
-                        split_row[mid] = mid;
-                    } else {
-                        let mut best = f64::INFINITY;
-                        let mut best_m = opt_lo.max(j);
-                        let m_lo = opt_lo.max(j);
-                        let m_hi = opt_hi.min(mid);
-                        for m in m_lo..=m_hi {
-                            if dp_prev[m - 1] >= best {
-                                break;
-                            }
-                            cells += 1;
-                            let c = dp_prev[m - 1] + rc.range_cost(m, mid);
-                            if c < best {
-                                best = c;
-                                best_m = m;
-                            }
-                        }
-                        dp_cur[mid] = best;
-                        split_row[mid] = best_m;
-                    }
-                    if mid > lo {
-                        stack.push((lo, mid - 1, opt_lo, split_row[mid].max(j)));
-                    }
-                    if mid < hi {
-                        stack.push((mid + 1, hi, split_row[mid].max(j), opt_hi));
-                    }
-                }
-            }
+            dp_cur[i] = best;
+            split_row[i] = best_m;
         }
         std::mem::swap(&mut dp_prev, &mut dp_cur);
     }
@@ -318,24 +183,16 @@ pub fn kmedian_dp_with(
 /// DP and wraps the result as a [`HashingSolution`], the form the rest of the
 /// workspace consumes. This is the paper's `dp` solver.
 ///
-/// The DP minimizes the [`ClusterCost::MeanAbs`] deviation, i.e. exactly the
-/// estimation-error term of Problem (1), over contiguous partitions of the
-/// sorted frequencies (via the exact quadratic DP — see
-/// [`DpStrategy::DivideAndConquer`] for why the subquadratic strategy is
-/// reserved for the median cost). Instances with no more distinct
-/// frequencies than buckets skip the table: [`solve_equal_counts`] returns
-/// the same assignment after one sort.
+/// [`kmedian_dp`] minimizes exactly the estimation-error term of
+/// Problem (1) over contiguous partitions of the sorted frequencies.
+/// Instances with no more distinct frequencies than buckets skip the table:
+/// [`solve_equal_counts`] returns the same assignment after one sort.
 pub fn solve_frequency_only(problem: &HashingProblem) -> HashingSolution {
     if let Some(solution) = solve_equal_counts(problem) {
         return solution;
     }
     let start = Instant::now();
-    let result = kmedian_dp_with(
-        &problem.frequencies,
-        problem.buckets,
-        ClusterCost::MeanAbs,
-        DpStrategy::DivideAndConquer,
-    );
+    let result = kmedian_dp(&problem.frequencies, problem.buckets);
     let stats = SolverStats {
         elapsed: start.elapsed(),
         iterations: result.cells_evaluated as usize,
@@ -358,9 +215,8 @@ pub fn solve_frequency_only(problem: &HashingProblem) -> HashingSolution {
 /// is not exact there: the mean-deviation optimum may split a tie (see the
 /// `mean_abs_optimum_can_split_ties` test), so those instances need the DP.
 ///
-/// The assignment is the one [`kmedian_dp_with`] returns with
-/// [`ClusterCost::MeanAbs`] on integer counts, bit for bit. That DP keeps the
-/// first minimizing split, so it uses all `k = min(b, n)` buckets and peels
+/// The assignment is the one [`kmedian_dp`] returns on integer counts, bit
+/// for bit. That DP keeps the first minimizing split, so it uses all `k = min(b, n)` buckets and peels
 /// singletons off the lowest counts. In stable frequency order, with `p` the
 /// smallest cut such that `p` plus the number of distinct values among
 /// positions `p..n` reaches `k`:
@@ -438,11 +294,11 @@ mod tests {
     use opthash_stream::Features;
 
     /// Brute-force optimal contiguous partition cost for validation.
-    fn brute_contiguous(values: &[f64], k: usize, cost: ClusterCost) -> f64 {
+    fn brute_contiguous(values: &[f64], k: usize) -> f64 {
         let n = values.len();
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let rc = RangeCost::new(&sorted, cost);
+        let rc = RangeCost::new(&sorted);
         // enumerate all ways to place k-1 boundaries
         fn rec(rc: &RangeCost<'_>, start: usize, n: usize, clusters_left: usize) -> f64 {
             if start == n {
@@ -463,7 +319,7 @@ mod tests {
         rec(&rc, 0, n, k.min(n))
     }
 
-    fn eval_assignment(values: &[f64], assignment: &[usize], k: usize, cost: ClusterCost) -> f64 {
+    fn eval_assignment(values: &[f64], assignment: &[usize], k: usize) -> f64 {
         let mut total = 0.0;
         for j in 0..k {
             let members: Vec<f64> = assignment
@@ -475,13 +331,8 @@ mod tests {
             if members.is_empty() {
                 continue;
             }
-            let mut sorted = members.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let center = match cost {
-                ClusterCost::MedianAbs => sorted[(sorted.len() - 1) / 2],
-                ClusterCost::MeanAbs => sorted.iter().sum::<f64>() / sorted.len() as f64,
-            };
-            total += sorted.iter().map(|v| (v - center).abs()).sum::<f64>();
+            let mean = members.iter().sum::<f64>() / members.len() as f64;
+            total += members.iter().map(|v| (v - mean).abs()).sum::<f64>();
         }
         total
     }
@@ -512,13 +363,16 @@ mod tests {
         assert_eq!(r.assignment[3], r.assignment[4]);
         assert_eq!(r.assignment[4], r.assignment[5]);
         assert_ne!(r.assignment[0], r.assignment[3]);
-        // cost = |1-1.5|+|2-1.5|+0 + |100-100|... median of {99.5,100,101}=100
-        assert!((r.cost - (1.0 + 1.5)).abs() < 1e-9, "cost {}", r.cost);
+        // means 1.5 and 100 + 1/6: cost = (0.5 + 0.5 + 0) + (1/6 + 5/6 + 2/3)
+        assert!((r.cost - (1.0 + 5.0 / 3.0)).abs() < 1e-9, "cost {}", r.cost);
     }
 
     #[test]
-    fn dp_matches_brute_force_contiguous_median() {
+    fn dp_matches_brute_force_contiguous_mean() {
         let cases: Vec<(Vec<f64>, usize)> = vec![
+            (vec![1.0, 7.0, 3.0, 9.0, 2.0, 8.0], 2),
+            (vec![4.0, 4.5, 100.0, 101.0, 5.0], 2),
+            (vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3),
             (vec![1.0, 7.0, 3.0, 9.0, 2.0, 8.0, 2.5], 3),
             (vec![10.0, 10.0, 10.0, 1.0], 2),
             (vec![5.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0], 4),
@@ -529,62 +383,16 @@ mod tests {
             ),
         ];
         for (values, k) in cases {
-            let expected = brute_contiguous(&values, k, ClusterCost::MedianAbs);
-            for strategy in [DpStrategy::Quadratic, DpStrategy::DivideAndConquer] {
-                let r = kmedian_dp_with(&values, k, ClusterCost::MedianAbs, strategy);
-                assert!(
-                    (r.cost - expected).abs() < 1e-9,
-                    "{strategy:?} cost {} vs brute {expected} on {values:?} k={k}",
-                    r.cost
-                );
-                // reported cost must equal the cost of the reported assignment
-                let eval = eval_assignment(&values, &r.assignment, k, ClusterCost::MedianAbs);
-                assert!((eval - r.cost).abs() < 1e-9, "assignment cost mismatch");
-            }
-        }
-    }
-
-    #[test]
-    fn dp_matches_brute_force_contiguous_mean() {
-        let cases: Vec<(Vec<f64>, usize)> = vec![
-            (vec![1.0, 7.0, 3.0, 9.0, 2.0, 8.0], 2),
-            (vec![4.0, 4.5, 100.0, 101.0, 5.0], 2),
-            (vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3),
-        ];
-        for (values, k) in cases {
-            let expected = brute_contiguous(&values, k, ClusterCost::MeanAbs);
-            let r = kmedian_dp_with(&values, k, ClusterCost::MeanAbs, DpStrategy::Quadratic);
+            let expected = brute_contiguous(&values, k);
+            let r = kmedian_dp(&values, k);
             assert!(
                 (r.cost - expected).abs() < 1e-9,
                 "cost {} vs brute {expected} on {values:?} k={k}",
                 r.cost
             );
-        }
-    }
-
-    #[test]
-    fn quadratic_and_divide_and_conquer_agree_on_random_inputs() {
-        let mut state = 42u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 10.0
-        };
-        for trial in 0..20 {
-            let n = 5 + (trial % 30);
-            let values: Vec<f64> = (0..n).map(|_| next()).collect();
-            let k = 1 + (trial % 7);
-            for cost in [ClusterCost::MedianAbs, ClusterCost::MeanAbs] {
-                let q = kmedian_dp_with(&values, k, cost, DpStrategy::Quadratic);
-                let d = kmedian_dp_with(&values, k, cost, DpStrategy::DivideAndConquer);
-                assert!(
-                    (q.cost - d.cost).abs() < 1e-9,
-                    "trial {trial} ({cost:?}): quadratic {} vs d&c {}",
-                    q.cost,
-                    d.cost
-                );
-            }
+            // reported cost must equal the cost of the reported assignment
+            let eval = eval_assignment(&values, &r.assignment, k);
+            assert!((eval - r.cost).abs() < 1e-9, "assignment cost mismatch");
         }
     }
 
@@ -650,24 +458,22 @@ mod tests {
             let n = 20 + (trial % 40);
             let values: Vec<f64> = (0..n).map(|_| next()).collect();
             let k = 2 + (trial % 6);
-            for cost in [ClusterCost::MedianAbs, ClusterCost::MeanAbs] {
-                let r = kmedian_dp_with(&values, k, cost, DpStrategy::Quadratic);
-                let expected = brute_contiguous(&values, k, cost);
-                assert!(
-                    (r.cost - expected).abs() < 1e-9,
-                    "trial {trial} ({cost:?}): pruned {} vs brute {expected}",
-                    r.cost
-                );
-                // The monotonicity break must never evaluate more cells than
-                // the unpruned quadratic table holds.
-                let unpruned = (n as u64) * (n as u64) * (k as u64);
-                assert!(r.cells_evaluated > 0);
-                assert!(
-                    r.cells_evaluated <= unpruned,
-                    "evaluated {} cells, unpruned bound {unpruned}",
-                    r.cells_evaluated
-                );
-            }
+            let r = kmedian_dp(&values, k);
+            let expected = brute_contiguous(&values, k);
+            assert!(
+                (r.cost - expected).abs() < 1e-9,
+                "trial {trial}: pruned {} vs brute {expected}",
+                r.cost
+            );
+            // The monotonicity break must never evaluate more cells than the
+            // unpruned quadratic table holds.
+            let unpruned = (n as u64) * (n as u64) * (k as u64);
+            assert!(r.cells_evaluated > 0);
+            assert!(
+                r.cells_evaluated <= unpruned,
+                "evaluated {} cells, unpruned bound {unpruned}",
+                r.cells_evaluated
+            );
         }
     }
 
@@ -677,7 +483,7 @@ mod tests {
         let values = vec![4.0, 4.0, 1.0, 9.0, 1.0, 4.0, 9.0, 9.0];
         let fits = HashingProblem::frequency_only(values.clone(), 6);
         let solved = solve_frequency_only(&fits);
-        let dp = kmedian_dp_with(&values, 6, ClusterCost::MeanAbs, DpStrategy::Quadratic);
+        let dp = kmedian_dp(&values, 6);
         assert_eq!(solved.assignment, dp.assignment);
         assert_eq!(solved.stats.moves_evaluated, 0);
         assert!(solved.stats.proven_optimal);
@@ -699,12 +505,12 @@ mod tests {
     #[test]
     fn mean_abs_optimum_can_split_ties() {
         let values = [1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 24.0];
-        let dp = kmedian_dp_with(&values, 3, ClusterCost::MeanAbs, DpStrategy::Quadratic);
+        let dp = kmedian_dp(&values, 3);
         assert!((dp.cost - 4.0).abs() < 1e-9, "dp cost {}", dp.cost);
         assert_ne!(dp.assignment[4], dp.assignment[5], "the two 3s are split");
 
         // Best 3-partition that cuts only between distinct values.
-        let rc = RangeCost::new(&values, ClusterCost::MeanAbs);
+        let rc = RangeCost::new(&values);
         let n = values.len();
         let cuts: Vec<usize> = (1..n).filter(|&i| values[i] != values[i - 1]).collect();
         let mut grouped = f64::INFINITY;

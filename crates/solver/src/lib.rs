@@ -14,13 +14,13 @@
 //! The solvers mirror the paper's `milp` / `bcd` / `dp`:
 //!
 //! * [`kmedian`] — exact dynamic programming for the `λ = 1` special case
-//!   (Problem (3); 1-D k-median clustering), in `O(n²b)` or
-//!   `O(n·b·log n)` via divide-and-conquer, plus the exact shortcut
-//!   [`kmedian::solve_equal_counts`]: when the prefix holds no more distinct
-//!   frequencies than buckets, equal counts share a bucket, the optimum is
-//!   0, and one sort replaces the table,
+//!   (Problem (3)): a pruned `O(n²b)` table over the sorted frequencies that
+//!   minimizes each bucket's absolute deviation from its mean, plus the
+//!   exact shortcut [`kmedian::solve_equal_counts`]: when the prefix holds
+//!   no more distinct frequencies than buckets, equal counts share a bucket,
+//!   the optimum is 0, and one sort replaces the table,
 //! * [`bcd`] — the block coordinate descent heuristic of Algorithm 1 with
-//!   incremental bucket statistics and several initialization strategies,
+//!   incremental bucket statistics and random restarts,
 //! * [`exact`] — an exact branch-and-bound solver for the general `λ` case,
 //!   the workspace's substitute for solving the MILP reformulation
 //!   (Problem (2)) with Gurobi; it returns the same optimal assignment for
@@ -56,10 +56,10 @@ pub mod kmedian;
 pub mod problem;
 pub mod progress;
 
-pub use bcd::{BcdConfig, BcdSolver, InitStrategy};
+pub use bcd::{BcdConfig, BcdSolver};
 pub use brute::brute_force;
 pub use exact::{ExactConfig, ExactSolver};
 pub use incremental::{IncrementalObjective, PairwiseDistances};
 pub use kmedian::{kmedian_dp, KMedianResult};
-pub use problem::{BucketStats, HashingProblem, HashingSolution, SolverStats};
+pub use problem::{HashingProblem, HashingSolution, SolverStats};
 pub use progress::{Ema, Ema2};

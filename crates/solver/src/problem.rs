@@ -120,13 +120,6 @@ impl HashingProblem {
             stats,
         }
     }
-
-    /// Upper bound `M ≥ max_i f⁰_i` used by the MILP reformulation
-    /// (Theorem 1). Exposed so the exact solver and tests can reference the
-    /// same constant the paper defines.
-    pub fn big_m(&self) -> f64 {
-        self.frequencies.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 /// Execution statistics attached to a solution.
@@ -189,37 +182,6 @@ pub struct HashingSolution {
 }
 
 impl HashingSolution {
-    /// Per-bucket statistics (members, mean frequency, errors) of this
-    /// solution for the given problem. This is the data the frequency
-    /// estimator needs to answer queries (bucket means) and that experiments
-    /// report.
-    pub fn bucket_stats(&self, problem: &HashingProblem) -> Vec<BucketStats> {
-        let mut stats: Vec<BucketStats> = (0..self.buckets)
-            .map(|j| BucketStats {
-                bucket: j,
-                members: Vec::new(),
-                mean_frequency: 0.0,
-                estimation_error: 0.0,
-            })
-            .collect();
-        for (i, &j) in self.assignment.iter().enumerate() {
-            stats[j].members.push(i);
-        }
-        for s in &mut stats {
-            if s.members.is_empty() {
-                continue;
-            }
-            let sum: f64 = s.members.iter().map(|&i| problem.frequencies[i]).sum();
-            s.mean_frequency = sum / s.members.len() as f64;
-            s.estimation_error = s
-                .members
-                .iter()
-                .map(|&i| (problem.frequencies[i] - s.mean_frequency).abs())
-                .sum();
-        }
-        stats
-    }
-
     /// Number of non-empty buckets.
     pub fn used_buckets(&self) -> usize {
         let mut used = vec![false; self.buckets];
@@ -228,25 +190,6 @@ impl HashingSolution {
         }
         used.iter().filter(|&&u| u).count()
     }
-
-    /// The integer hash code `h_i ∈ [b]` of each element (Section 5.1) —
-    /// simply the assignment vector, exposed under the paper's name.
-    pub fn hash_codes(&self) -> &[usize] {
-        &self.assignment
-    }
-}
-
-/// Summary of one bucket of a solution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BucketStats {
-    /// Bucket index `j`.
-    pub bucket: usize,
-    /// Element indices mapped to this bucket (`I_j`).
-    pub members: Vec<usize>,
-    /// Mean prefix frequency `μ_j` of the members.
-    pub mean_frequency: f64,
-    /// Estimation error `Σ_{i∈I_j} |f⁰_i − μ_j|` of the bucket.
-    pub estimation_error: f64,
 }
 
 #[cfg(test)]
@@ -286,36 +229,17 @@ mod tests {
     }
 
     #[test]
-    fn solution_records_errors_and_bucket_stats() {
+    fn solution_records_errors_and_used_buckets() {
         let p = small_problem();
         let sol = p.solution_from_assignment(vec![0, 0, 1, 1], SolverStats::default());
         assert!((sol.objective - 1.2).abs() < 1e-9);
+        assert!((sol.estimation_error - 2.0).abs() < 1e-12);
         assert_eq!(sol.used_buckets(), 2);
-        assert_eq!(sol.hash_codes(), &[0, 0, 1, 1]);
-        let stats = sol.bucket_stats(&p);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].members, vec![0, 1]);
-        assert!((stats[0].mean_frequency - 1.5).abs() < 1e-12);
-        assert!((stats[1].mean_frequency - 10.5).abs() < 1e-12);
-        assert!((stats[0].estimation_error - 1.0).abs() < 1e-12);
-    }
 
-    #[test]
-    fn bucket_stats_handles_empty_buckets() {
+        // Empty buckets are not counted.
         let p = HashingProblem::frequency_only(vec![3.0, 3.0], 4);
         let sol = p.solution_from_assignment(vec![2, 2], SolverStats::default());
-        let stats = sol.bucket_stats(&p);
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats[0].members.len(), 0);
-        assert_eq!(stats[0].mean_frequency, 0.0);
         assert_eq!(sol.used_buckets(), 1);
-    }
-
-    #[test]
-    fn big_m_is_max_frequency() {
-        let p = HashingProblem::frequency_only(vec![4.0, 17.0, 2.0], 2);
-        assert_eq!(p.big_m(), 17.0);
-        assert_eq!(HashingProblem::frequency_only(vec![], 1).big_m(), 0.0);
     }
 
     #[test]

@@ -91,16 +91,22 @@ impl FrequencyVector {
         self.counts.values().copied().max().unwrap_or(0)
     }
 
-    /// Iterates over `(id, frequency)` pairs in unspecified order.
+    /// Iterates over `(id, frequency)` pairs in ascending [`ElementId`]
+    /// order, so a floating-point sum over the pairs is the same on every
+    /// run. Each call collects and sorts the pairs (`O(d log d)` for `d`
+    /// distinct IDs); [`FrequencyVector::frequency`] stays an `O(1)` lookup.
     pub fn iter(&self) -> impl Iterator<Item = (ElementId, u64)> + '_ {
-        self.counts.iter().map(|(&id, &c)| (id, c))
+        let mut pairs: Vec<(ElementId, u64)> =
+            self.counts.iter().map(|(&id, &c)| (id, c)).collect();
+        pairs.sort_unstable_by_key(|&(id, _)| id);
+        pairs.into_iter()
     }
 
     /// IDs sorted by decreasing frequency (ties broken by ID for
     /// determinism). Rank 1 is the most frequent element — the ordering used
     /// by Table 1 of the paper.
     pub fn ids_by_rank(&self) -> Vec<ElementId> {
-        let mut ids: Vec<(ElementId, u64)> = self.iter().collect();
+        let mut ids: Vec<(ElementId, u64)> = self.counts.iter().map(|(&id, &c)| (id, c)).collect();
         ids.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ids.into_iter().map(|(id, _)| id).collect()
     }
@@ -180,6 +186,21 @@ mod tests {
         assert_eq!(day0.frequency(ElementId(1)), 7);
         assert_eq!(day0.frequency(ElementId(3)), 4);
         assert_eq!(day0.total(), 12);
+    }
+
+    #[test]
+    fn iter_yields_ascending_ids() {
+        // 1,000 distinct IDs inserted in a scrambled order (7919 is prime, so
+        // `k · 7919 mod 1000` visits every residue once).
+        let mut fv = FrequencyVector::new();
+        for k in 0..1_000u64 {
+            let id = k * 7_919 % 1_000;
+            fv.add(ElementId(id), id % 7 + 1);
+        }
+        let pairs: Vec<(ElementId, u64)> = fv.iter().collect();
+        assert_eq!(pairs.len(), 1_000);
+        assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(pairs.iter().map(|&(_, c)| c).sum::<u64>(), fv.total());
     }
 
     #[test]

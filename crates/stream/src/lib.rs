@@ -46,5 +46,5 @@ pub mod stream;
 pub use element::{ElementId, Features, StreamElement};
 pub use frequency::{FrequencyEstimator, FrequencyVector};
 pub use metrics::{assignment_errors, AssignmentErrors, ErrorMetrics};
-pub use space::{BucketKind, SpaceBudget, SpaceReport, BYTES_PER_BUCKET};
+pub use space::{SpaceBudget, SpaceReport, BYTES_PER_BUCKET};
 pub use stream::{Stream, StreamPrefix, StreamStats};

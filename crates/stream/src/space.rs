@@ -22,33 +22,6 @@ pub const BYTES_PER_BUCKET: usize = 4;
 /// comparable to a counter, so an ID is charged the same 4 bytes as a bucket.
 pub const BYTES_PER_STORED_ID: usize = 4;
 
-/// What a bucket is used for, which determines its cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BucketKind {
-    /// A plain counter (Count-Min cell, opt-hash bucket sum).
-    Counter,
-    /// A heavy-hitter unique bucket that stores a counter *and* an ID; costs
-    /// twice a plain counter (Section 2.2).
-    Unique,
-    /// A stored element ID (opt-hash hash-table key, charged like a counter).
-    StoredId,
-    /// One bit of a Bloom filter; 8 of them cost one byte.
-    BloomBit,
-}
-
-impl BucketKind {
-    /// Cost of one item of this kind, in bytes (Bloom bits return the cost of
-    /// a single bit as a fraction of a byte, so use [`SpaceReport`] to sum).
-    pub fn bytes(self) -> f64 {
-        match self {
-            BucketKind::Counter => BYTES_PER_BUCKET as f64,
-            BucketKind::Unique => 2.0 * BYTES_PER_BUCKET as f64,
-            BucketKind::StoredId => BYTES_PER_STORED_ID as f64,
-            BucketKind::BloomBit => 1.0 / 8.0,
-        }
-    }
-}
-
 /// A memory budget for an estimator, expressed in bytes.
 ///
 /// Construct from kilobytes with [`SpaceBudget::from_kb`] to follow the
@@ -327,13 +300,5 @@ mod tests {
         // never sneak under a budget check by wrapping.
         assert_eq!(sum.total_bytes(), usize::MAX);
         assert!(!sum.fits(SpaceBudget::from_bytes(usize::MAX - 1)));
-    }
-
-    #[test]
-    fn bucket_kind_costs() {
-        assert_eq!(BucketKind::Counter.bytes(), 4.0);
-        assert_eq!(BucketKind::Unique.bytes(), 8.0);
-        assert_eq!(BucketKind::StoredId.bytes(), 4.0);
-        assert!((BucketKind::BloomBit.bytes() - 0.125).abs() < 1e-12);
     }
 }

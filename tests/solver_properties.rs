@@ -8,7 +8,7 @@
 //! `PROPTEST_SEED=<u64>` draws a different set of cases and
 //! `PROPTEST_CASES=<n>` changes how many; a failure prints the seed.
 
-use opthash_solver::kmedian::{self, ClusterCost, DpStrategy};
+use opthash_solver::kmedian;
 use opthash_solver::{
     brute_force, BcdConfig, BcdSolver, ExactConfig, ExactSolver, HashingProblem,
     IncrementalObjective,
@@ -102,10 +102,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The λ = 1 DP is optimal over contiguous partitions of the sorted
-    /// frequencies: in particular it can never lose to the sorted-split
-    /// initialization (which is contiguous), and a BCD run warm-started from
-    /// the DP solution can only keep or improve the objective (the descent
-    /// property of Algorithm 1).
+    /// frequencies: in particular it can never lose to splitting the sorted
+    /// elements into equal chunks (which is contiguous), and a BCD run
+    /// warm-started from the DP solution can only keep or improve the
+    /// objective (the descent property of Algorithm 1).
     #[test]
     fn dp_dominates_sorted_split_and_warm_started_bcd_descends(
         freqs in frequencies(24),
@@ -115,14 +115,16 @@ proptest! {
         let problem = HashingProblem::frequency_only(freqs.clone(), buckets);
         let dp = kmedian::solve_frequency_only(&problem);
 
-        // Sorted-split: contiguous chunks of the frequency-sorted elements.
-        let solver = BcdSolver::new(BcdConfig {
-            init: opthash_solver::InitStrategy::SortedSplit,
-            seed,
-            ..BcdConfig::default()
-        });
-        let mut rng = rand::SeedableRng::seed_from_u64(seed);
-        let sorted_split = solver.initial_assignment(&problem, &mut rng);
+        // Sorted split: `buckets` equal contiguous chunks of the
+        // frequency-sorted elements.
+        let n = freqs.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&x, &y| freqs[x].partial_cmp(&freqs[y]).unwrap());
+        let chunk = n.div_ceil(buckets);
+        let mut sorted_split = vec![0usize; n];
+        for (rank, &i) in order.iter().enumerate() {
+            sorted_split[i] = (rank / chunk).min(buckets - 1);
+        }
         let sorted_split_error =
             assignment_errors(&freqs, &[], &sorted_split, buckets, 1.0).estimation_error;
         prop_assert!(dp.estimation_error <= sorted_split_error + 1e-6,
@@ -131,11 +133,10 @@ proptest! {
 
         // Warm-starting BCD from the DP solution never degrades it.
         let warm = BcdSolver::new(BcdConfig {
-            init: opthash_solver::InitStrategy::DpWarmStart,
             seed,
             ..BcdConfig::default()
         })
-        .solve(&problem);
+        .solve_from(&problem, &dp.assignment);
         prop_assert!(warm.objective <= dp.objective + 1e-6,
             "warm-started bcd {} should not exceed dp {}", warm.objective, dp.objective);
     }
@@ -176,7 +177,7 @@ proptest! {
         prop_assert!(exact.stats.proven_optimal);
     }
 
-    /// k-median DP invariants: cost is non-negative, non-increasing in the
+    /// λ = 1 DP invariants: cost is non-negative, non-increasing in the
     /// number of clusters, and zero when every element gets its own cluster.
     #[test]
     fn kmedian_cost_is_monotone_in_cluster_count(values in frequencies(20)) {
@@ -324,8 +325,7 @@ proptest! {
             Some(shortcut) => {
                 prop_assert!(distinct <= buckets,
                     "shortcut answered with d = {} > b = {}", distinct, buckets);
-                let dp =
-                    kmedian::kmedian_dp_with(&freqs, buckets, ClusterCost::MeanAbs, DpStrategy::Quadratic);
+                let dp = kmedian::kmedian_dp(&freqs, buckets);
                 prop_assert_eq!(&shortcut.assignment, &dp.assignment);
                 prop_assert_eq!(shortcut.objective, 0.0);
                 prop_assert!(shortcut.stats.proven_optimal);
