@@ -4,9 +4,9 @@
 //! serves it forever; production streams drift. [`Retrainer`] wraps an
 //! [`IngestEngine`] over [`opthash::OptHash`] and keeps the scheme current:
 //!
-//! 1. it maintains a **sliding window** of the last
-//!    [`RetrainConfig::window`] arrivals (a ring of IDs plus exact window
-//!    counts, so eviction is O(1) per arrival);
+//! 1. it keeps a **sliding window** of the last [`RetrainConfig::window`]
+//!    arrival IDs in a ring, one store per arrival, and counts it only when
+//!    a re-train is scheduled, on the thread that runs the solve;
 //! 2. every [`RetrainConfig::retrain_interval`] arrivals it re-solves the
 //!    bucketing on the window prefix via [`opthash::OptHash::retrain`] —
 //!    one sort when the window holds no more distinct counts than buckets
@@ -35,9 +35,9 @@ use crate::error::EngineError;
 use opthash::solver::SolverStats;
 use opthash::OptHash;
 use opthash_stream::{ElementId, StreamElement, StreamPrefix};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 
 /// Configuration of a [`Retrainer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +49,8 @@ pub struct RetrainConfig {
     pub retrain_interval: usize,
     /// Skip a scheduled re-train while the window holds fewer distinct
     /// elements than this (a scheme solved on a near-empty window would be
-    /// worse than the incumbent).
+    /// worse than the incumbent). The window is counted where the solve
+    /// runs, so in background mode the skip is decided when the job lands.
     pub min_distinct: usize,
     /// Solve on a background thread (`true`, the default) so ingest never
     /// stalls behind training; the swap happens on the next arrival after
@@ -100,7 +101,8 @@ pub struct RetrainStats {
     /// Completed hot-swaps into the engine.
     pub swaps: u64,
     /// Scheduled re-trains skipped because the window held fewer than
-    /// [`RetrainConfig::min_distinct`] distinct elements.
+    /// [`RetrainConfig::min_distinct`] distinct elements; in background
+    /// mode a skip is counted when its job lands.
     pub skipped: u64,
     /// Background trainings that panicked; the incumbent scheme stayed
     /// live.
@@ -111,15 +113,16 @@ pub struct RetrainStats {
 pub struct Retrainer {
     engine: IngestEngine<OptHash>,
     config: RetrainConfig,
-    /// Ring of the last `window` arrival IDs, oldest first.
-    ring: VecDeque<ElementId>,
-    /// Exact window counts plus each ID's first-seen element (whose
-    /// features represent it in the training prefix).
-    window_counts: HashMap<ElementId, (u64, StreamElement)>,
+    /// The last `window` arrival IDs; once full, `next` is the oldest slot.
+    ring: Vec<ElementId>,
+    next: usize,
+    /// First-seen element of each featured ID (featureless arrivals never
+    /// touch it), pruned to the ring's IDs past `2 × window` entries.
+    featured: HashMap<ElementId, StreamElement>,
     since_retrain: usize,
     scheme: Arc<TrainedScheme>,
-    /// In-flight background training, if any.
-    pending: Option<JoinHandle<OptHash>>,
+    /// In-flight background training; it yields `None` for a skip.
+    pending: Option<JoinHandle<Option<OptHash>>>,
     /// Retired backends from completed swaps, oldest first, until the
     /// caller collects them.
     retired: Vec<OptHash>,
@@ -142,8 +145,9 @@ impl Retrainer {
         Retrainer {
             engine: IngestEngine::new(initial, engine),
             config,
-            ring: VecDeque::with_capacity(config.window),
-            window_counts: HashMap::new(),
+            ring: Vec::with_capacity(config.window),
+            next: 0,
+            featured: HashMap::new(),
             since_retrain: 0,
             scheme,
             pending: None,
@@ -178,7 +182,8 @@ impl Retrainer {
     }
 
     /// Retired backends from completed swaps (each holds every count it
-    /// accumulated while live), oldest first.
+    /// accumulated while live), oldest first. A swap that reported a
+    /// poisoned shard returns no retired backend.
     pub fn take_retired(&mut self) -> Vec<OptHash> {
         std::mem::take(&mut self.retired)
     }
@@ -193,18 +198,13 @@ impl Retrainer {
         self.poll()?;
         if self.since_retrain >= self.config.retrain_interval && self.pending.is_none() {
             self.since_retrain = 0;
-            if self.window_counts.len() < self.config.min_distinct {
-                self.stats.skipped += 1;
-            } else if self.config.background {
-                // Only the copy of the pairs stays on the ingest thread; the
-                // sort and the prefix build run with the solve.
-                let scheme = Arc::clone(&self.scheme);
-                let pairs = self.window_pairs();
-                self.pending = Some(std::thread::spawn(move || {
-                    scheme.estimator.retrain(&window_prefix(pairs))
-                }));
+            let job = self.retrain_job();
+            if self.config.background {
+                // The ring's copy is all the ingest thread pays; the count
+                // and the `min_distinct` check run with the solve.
+                self.pending = Some(thread::spawn(job));
             } else {
-                self.train_and_swap()?;
+                self.settle(Ok(job()))?;
             }
         }
         Ok(())
@@ -222,15 +222,8 @@ impl Retrainer {
     /// hot-swaps the new scheme in. Called automatically by
     /// [`Retrainer::ingest`]; call directly to drain a solve while idle.
     pub fn poll(&mut self) -> Result<(), EngineError> {
-        if self.pending.as_ref().is_some_and(|h| h.is_finished()) {
-            let handle = self.pending.take().expect("checked above");
-            match handle.join() {
-                Ok(estimator) => {
-                    self.stats.retrains += 1;
-                    self.publish(estimator)?;
-                }
-                Err(_) => self.stats.failed += 1,
-            }
+        if self.pending.as_ref().is_some_and(JoinHandle::is_finished) {
+            self.join_pending()?;
         }
         Ok(())
     }
@@ -241,22 +234,12 @@ impl Retrainer {
     /// training) if the window holds fewer than
     /// [`RetrainConfig::min_distinct`] distinct elements.
     pub fn retrain_now(&mut self) -> Result<bool, EngineError> {
-        if let Some(handle) = self.pending.take() {
-            match handle.join() {
-                Ok(estimator) => {
-                    self.stats.retrains += 1;
-                    self.publish(estimator)?;
-                }
-                Err(_) => self.stats.failed += 1,
-            }
+        self.join_pending()?;
+        let trained = self.retrain_job()();
+        if trained.is_some() {
+            self.since_retrain = 0;
         }
-        if self.window_counts.len() < self.config.min_distinct {
-            self.stats.skipped += 1;
-            return Ok(false);
-        }
-        self.since_retrain = 0;
-        self.train_and_swap()?;
-        Ok(true)
+        self.settle(Ok(trained))
     }
 
     /// Queries the live engine (flushing so the answer covers every
@@ -268,82 +251,109 @@ impl Retrainer {
     /// Awaits any in-flight solve, publishes it, and finishes the engine,
     /// returning the final live estimator.
     pub fn finish(mut self) -> Result<OptHash, EngineError> {
-        if let Some(handle) = self.pending.take() {
-            match handle.join() {
-                Ok(estimator) => {
-                    self.stats.retrains += 1;
-                    self.publish(estimator)?;
-                }
-                Err(_) => self.stats.failed += 1,
-            }
-        }
+        self.join_pending()?;
         self.engine.finish()
     }
 
     /// Slides the window over one arrival.
     fn observe(&mut self, element: &StreamElement) {
-        if self.ring.len() == self.config.window {
-            if let Some(evicted) = self.ring.pop_front() {
-                if let Some(entry) = self.window_counts.get_mut(&evicted) {
-                    entry.0 -= 1;
-                    if entry.0 == 0 {
-                        self.window_counts.remove(&evicted);
-                    }
-                }
+        if self.ring.len() < self.config.window {
+            self.ring.push(element.id);
+        } else {
+            self.ring[self.next] = element.id;
+            self.next += 1;
+            if self.next == self.ring.len() {
+                self.next = 0;
             }
         }
-        self.ring.push_back(element.id);
-        self.window_counts
-            .entry(element.id)
-            .and_modify(|entry| entry.0 += 1)
-            .or_insert_with(|| (1, element.clone()));
+        if !element.features.is_empty() {
+            self.featured
+                .entry(element.id)
+                .or_insert_with(|| element.clone());
+            if self.featured.len() > self.config.window.saturating_mul(2) {
+                let live: HashSet<ElementId> = self.ring.iter().copied().collect();
+                self.featured.retain(|id, _| live.contains(id));
+            }
+        }
     }
 
-    /// The window's exact `(element, count)` pairs, in map order.
-    fn window_pairs(&self) -> Vec<(StreamElement, u64)> {
-        self.window_counts
-            .values()
-            .map(|(count, element)| (element.clone(), *count))
-            .collect()
+    /// The next re-train as a job that owns copies of its inputs; it yields
+    /// `None` when the window holds fewer than `min_distinct` distinct IDs.
+    fn retrain_job(&self) -> impl FnOnce() -> Option<OptHash> + Send + 'static {
+        let scheme = Arc::clone(&self.scheme);
+        let (ids, featured) = (self.ring.clone(), self.featured.clone());
+        let min_distinct = self.config.min_distinct;
+        move || {
+            let prefix = window_prefix(ids, &featured);
+            (prefix.distinct_len() >= min_distinct).then(|| scheme.estimator.retrain(&prefix))
+        }
     }
 
-    fn train_and_swap(&mut self) -> Result<(), EngineError> {
-        let estimator = self
-            .scheme
-            .estimator
-            .retrain(&window_prefix(self.window_pairs()));
-        self.stats.retrains += 1;
-        self.publish(estimator)
+    /// Awaits the in-flight background job, if any, and settles it.
+    fn join_pending(&mut self) -> Result<(), EngineError> {
+        if let Some(handle) = self.pending.take() {
+            self.settle(handle.join())?;
+        }
+        Ok(())
+    }
+
+    /// Counts a finished re-train and publishes the scheme it trained, if
+    /// any; returns whether it trained one.
+    fn settle(&mut self, outcome: thread::Result<Option<OptHash>>) -> Result<bool, EngineError> {
+        match outcome {
+            Ok(Some(estimator)) => {
+                self.stats.retrains += 1;
+                self.publish(estimator)?;
+                return Ok(true);
+            }
+            Ok(None) => self.stats.skipped += 1,
+            Err(_) => self.stats.failed += 1,
+        }
+        Ok(false)
     }
 
     /// Publishes a freshly trained estimator as the next scheme version and
-    /// hot-swaps it into the engine.
+    /// hot-swaps it in. The engine serves it even when the swap reports a
+    /// poisoned shard, so it is adopted either way.
     fn publish(&mut self, estimator: OptHash) -> Result<(), EngineError> {
-        let scheme = Arc::new(TrainedScheme {
+        self.scheme = Arc::new(TrainedScheme {
             version: self.scheme.version + 1,
             estimator,
         });
-        let retired = self.engine.swap_backend(scheme.estimator.clone())?;
-        self.retired.push(retired);
-        self.scheme = scheme;
         self.stats.swaps += 1;
+        let retired = self.engine.swap_backend(self.scheme.estimator.clone())?;
+        self.retired.push(retired);
         Ok(())
     }
 }
 
 /// The window's exact frequency vector as a training prefix, in ascending
-/// `ElementId` order. The window map iterates in a per-map random order, and
-/// both BCD's initial assignment and the equal-count shortcut's tie order
-/// follow the prefix order, so sorting is what makes a re-solve a function
-/// of the window alone.
-fn window_prefix(mut pairs: Vec<(StreamElement, u64)>) -> StreamPrefix {
-    pairs.sort_unstable_by_key(|(element, _)| element.id);
+/// `ElementId` order: sorting the window's IDs makes each run of equal IDs
+/// one `(element, count)` pair. Both BCD's initial assignment and the
+/// equal-count shortcut's tie order follow the prefix order, so the sort is
+/// also what makes a re-solve a function of the window alone.
+fn window_prefix(
+    mut ids: Vec<ElementId>,
+    featured: &HashMap<ElementId, StreamElement>,
+) -> StreamPrefix {
+    ids.sort_unstable();
+    let pairs = ids
+        .chunk_by(|a, b| a == b)
+        .map(|run| {
+            let element = featured
+                .get(&run[0])
+                .cloned()
+                .unwrap_or_else(|| StreamElement::without_features(run[0]));
+            (element, run.len() as u64)
+        })
+        .collect();
     StreamPrefix::from_counts(pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SketchBackend;
     use opthash::{OptHashBuilder, SolverKind};
     use opthash_stream::Stream;
 
@@ -465,9 +475,155 @@ mod tests {
         }
         assert_eq!(retrainer.ring.len(), 8);
         // Only the last 8 distinct IDs survive.
-        assert_eq!(retrainer.window_counts.len(), 8);
-        assert!(retrainer.window_counts.contains_key(&ElementId(31)));
-        assert!(!retrainer.window_counts.contains_key(&ElementId(0)));
+        let prefix = window_prefix(retrainer.ring.clone(), &retrainer.featured);
+        assert_eq!(prefix.distinct_len(), 8);
+        assert!(prefix.contains(ElementId(31)));
+        assert!(!prefix.contains(ElementId(0)));
         retrainer.finish().unwrap();
+    }
+
+    /// A featured stream trains on each ID's features: the re-solve equals
+    /// the incumbent retrained on a reference prefix that carries them, and
+    /// the side map of featured elements stays bounded as IDs churn.
+    #[test]
+    fn featured_arrivals_train_with_their_features() {
+        let featured = |id: u64| StreamElement::new(id, vec![(id % 7) as f64, (id % 3) as f64]);
+        let boot: Vec<StreamElement> = (0..200u64).map(|i| featured(i % 20)).collect();
+        let initial = OptHashBuilder::new(4)
+            .lambda(0.5)
+            .classifier(opthash::ml::ClassifierKind::Cart)
+            .train(&StreamPrefix::from_stream(Stream::from_arrivals(boot)));
+        let window = 64;
+        let mut retrainer = Retrainer::new(
+            initial,
+            EngineConfig::with_shards(2),
+            RetrainConfig {
+                window,
+                retrain_interval: 1_000_000,
+                min_distinct: 1,
+                background: false,
+            },
+        );
+        let ids: Vec<u64> = (0..300u64).map(|i| (i * 7) % 40 + i / 100).collect();
+        for &id in &ids {
+            retrainer.ingest(&featured(id)).unwrap();
+        }
+        let before = retrainer.scheme();
+        assert!(retrainer.retrain_now().unwrap());
+
+        let mut counts = std::collections::BTreeMap::new();
+        for &id in &ids[ids.len() - window..] {
+            *counts.entry(id).or_insert(0u64) += 1;
+        }
+        let reference = StreamPrefix::from_counts(
+            counts
+                .into_iter()
+                .map(|(id, count)| (featured(id), count))
+                .collect(),
+        );
+        let expected = before.estimator.retrain(&reference);
+        let live = retrainer.scheme();
+        let solution = live.estimator.solution();
+        assert_eq!(
+            solution.objective.to_bits(),
+            expected.solution().objective.to_bits()
+        );
+        assert_eq!(solution.assignment, expected.solution().assignment);
+        for id in 0..100u64 {
+            assert_eq!(
+                SketchBackend::query(&live.estimator, &featured(id)).to_bits(),
+                SketchBackend::query(&expected, &featured(id)).to_bits(),
+                "id {id}"
+            );
+        }
+
+        for id in 1_000..1_000 + 10 * window as u64 {
+            retrainer.ingest(&featured(id)).unwrap();
+            assert!(retrainer.featured.len() <= 2 * window);
+        }
+        retrainer.finish().unwrap();
+    }
+
+    /// In background mode the window is counted by the job, so a skip is
+    /// counted when the job lands, and nothing is published or retired.
+    #[test]
+    fn background_skips_are_counted_when_the_job_lands() {
+        let mut retrainer = Retrainer::new(
+            initial_scheme(),
+            EngineConfig::with_shards(1),
+            RetrainConfig {
+                window: 64,
+                retrain_interval: 32,
+                min_distinct: 1_000,
+                background: true,
+            },
+        );
+        for i in 0..32u64 {
+            retrainer
+                .ingest(&StreamElement::without_features(i % 4))
+                .unwrap();
+        }
+        assert_eq!(retrainer.retrain_stats().skipped, 0, "the job is in flight");
+        while retrainer
+            .pending
+            .as_ref()
+            .is_some_and(|job| !job.is_finished())
+        {
+            std::thread::yield_now();
+        }
+        retrainer.poll().unwrap();
+        assert!(retrainer.pending.is_none());
+        let stats = retrainer.retrain_stats();
+        assert_eq!((stats.skipped, stats.retrains, stats.swaps), (1, 0, 0));
+        assert_eq!(retrainer.scheme_version(), 0);
+        assert!(retrainer.take_retired().is_empty());
+        retrainer.finish().unwrap();
+    }
+
+    /// A swap over a poisoned shard still makes the new scheme the one the
+    /// engine serves, so the re-trainer must publish it too: its version
+    /// and estimates are the engine's, not the retired scheme's.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_swap_over_a_poisoned_shard_adopts_the_served_scheme() {
+        let mut retrainer = Retrainer::new(
+            initial_scheme(),
+            EngineConfig::with_shards(2).batch_capacity(8),
+            RetrainConfig {
+                window: 64,
+                retrain_interval: 1_000_000,
+                min_distinct: 1,
+                background: false,
+            },
+        );
+        // Shard 0 commits its first batch; its second commit panics and
+        // poisons the shard.
+        retrainer
+            .engine
+            .fault_injector()
+            .program("worker::checkpoint@0", crate::FaultPlan::panic().on_hit(2));
+        for id in (0..400u64).map(|i| i % 50) {
+            match retrainer.ingest(&StreamElement::without_features(id)) {
+                Ok(()) | Err(EngineError::ShardPoisoned { shard: 0 }) => {}
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        }
+        assert_eq!(
+            retrainer.retrain_now().unwrap_err(),
+            EngineError::ShardPoisoned { shard: 0 }
+        );
+        assert_eq!(
+            retrainer.scheme_version(),
+            retrainer.engine.snapshot_stamp().scheme_version
+        );
+        let scheme = retrainer.scheme();
+        for id in 0..100u64 {
+            let probe = StreamElement::without_features(id);
+            assert_eq!(
+                retrainer.engine.query(&probe).estimate.to_bits(),
+                SketchBackend::query(&scheme.estimator, &probe).to_bits(),
+                "id {id}"
+            );
+        }
     }
 }

@@ -369,6 +369,63 @@ proptest! {
         }
     }
 
+    /// The re-trainer trains on exactly the last `window` arrivals, before
+    /// the window fills and after it wraps: a forced re-train publishes the
+    /// incumbent re-solved on a reference prefix of those arrivals in
+    /// ascending ID order, bit for bit.
+    #[test]
+    fn retrainer_trains_on_exactly_the_last_window_arrivals(
+        ids in prop::collection::vec(0u64..48, 1..300),
+        window in 1usize..65,
+        interval in 16usize..400,
+    ) {
+        let initial = OptHashBuilder::new(4)
+            .lambda(1.0)
+            .train_on_stream(&Stream::from_ids((0..200u64).map(|i| i % 8)));
+        let mut retrainer = Retrainer::new(
+            initial,
+            EngineConfig::with_shards(2),
+            RetrainConfig {
+                window,
+                retrain_interval: interval,
+                min_distinct: 1,
+                background: false,
+            },
+        );
+        for &id in &ids {
+            retrainer
+                .ingest(&StreamElement::without_features(id))
+                .expect("clean ingest");
+        }
+        let before = retrainer.scheme();
+        prop_assert!(retrainer.retrain_now().expect("clean retrain"));
+
+        let mut counts = std::collections::BTreeMap::new();
+        for &id in &ids[ids.len().saturating_sub(window)..] {
+            *counts.entry(id).or_insert(0u64) += 1;
+        }
+        let reference = StreamPrefix::from_counts(
+            counts
+                .into_iter()
+                .map(|(id, count)| (StreamElement::without_features(id), count))
+                .collect(),
+        );
+        let expected = before.estimator.retrain(&reference);
+        let live = retrainer.scheme();
+        prop_assert_eq!(
+            live.estimator.solution().objective.to_bits(),
+            expected.solution().objective.to_bits()
+        );
+        for id in 0..48u64 {
+            let probe = StreamElement::without_features(id);
+            prop_assert_eq!(
+                live.estimator.estimate(&probe).to_bits(),
+                expected.estimate(&probe).to_bits(),
+                "estimate diverged at id {}", id
+            );
+        }
+        retrainer.finish().expect("clean finish");
+    }
 }
 
 /// Conservation must also survive *panics injected mid-application*: a
